@@ -1,24 +1,27 @@
 """Log-canonical thresholds of central hyperplane arrangements.
 
 The lct at the origin of a reduced central arrangement is the
-minimum of rank/count over the intersection lattice.  Two routes are
-provided: a generic one that enumerates the lattice with exact
-matrix ranks, and a braid-specific fast path that works on the
-partition lattice of {1..g} without ever building a matrix.
+minimum of rank/count over the intersection lattice (Mustata,
+"Multiplier ideals of hyperplane arrangements", Trans. AMS 2006).
+One exact engine enumerates that lattice for any arrangement, in
+integer arithmetic, with flats keyed by their member sets.  Braid
+arrangements need no enumeration: their lct is the closed form 2/g,
+proved in lct_braid.  The set-partition description of the braid
+lattice (braid_flats) is kept as an oracle for the engine.
 """
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import InputError, SizeError
-from .linalg import in_rowspace, reduce_row, rref
 from .rationals import rat, rat_str
 
 DEFAULT_MAX_CANDIDATES = 2 ** 20
 MAX_FLATS_ENV = "KSTAB_MAX_FLATS"
+MAX_BRAID_G = 1000
 
 
 @dataclass(frozen=True)
@@ -122,53 +125,74 @@ def _max_candidates(override=None):
     return DEFAULT_MAX_CANDIDATES
 
 
+def _primitive(row):
+    """A nonzero integer row divided by the gcd of its entries, with
+    its first nonzero entry made positive."""
+    divisor = gcd(*row)
+    if next(x for x in row if x) < 0:
+        divisor = -divisor
+    return tuple(x // divisor for x in row)
+
+
+def _integer_row(coefficients):
+    """The primitive integer row proportional to a rational form."""
+    scale = lcm(*(c.denominator for c in coefficients))
+    return _primitive([c.numerator * (scale // c.denominator) for c in coefficients])
+
+
 def intersection_lattice(arr, max_candidates=None):
     """All flats of the arrangement, ambient space excluded.
 
-    Closure by joins: start from the hyperplanes and repeatedly
-    intersect with one more hyperplane, deduplicating subspaces by
-    their canonical reduced row echelon basis.  Aborts loudly if the
-    number of candidate subspaces exceeds the configured cap.
+    Closure by joins, with each flat keyed by its closed member set.
+    Denominators are cleared once, so every form is a primitive
+    integer row.  A flat carries the residual of each non-member
+    form: a nonzero multiple of the form minus an element of the
+    flat's span, zero on the pivot column of every join so far,
+    primitive and with a positive leading entry.  Two non-members
+    give the same join exactly when their residuals are
+    proportional, hence equal, so the non-members fall into classes,
+    one per covering flat, and a hyperplane absorbed by an earlier
+    join from the same flat is never joined again.  Joining the
+    class of r reduces every other residual s by one fraction-free
+    step, r[p] * s - s[p] * r at r's first nonzero column p, divided
+    by its gcd; none of these vanish, since only the class of r
+    joins.  Every join counts as one candidate; exceeding the
+    configured cap aborts loudly.
     """
     limit = _max_candidates(max_candidates)
-    forms = [f.coefficients for f in arr.forms]
-    n = arr.ambient_dim
+    ambient = {}
+    for i, f in enumerate(arr.forms):
+        ambient.setdefault(_integer_row(f.coefficients), []).append(i)
 
-    seen = {}
-    queue = []
+    ranks = {}
+    stack = [(frozenset(), 0, ambient)]
     examined = 0
-
-    def visit(rows):
-        nonlocal examined
-        examined += 1
-        if examined > limit:
-            raise SizeError(
-                f"intersection lattice exceeds {limit} candidate subspaces "
-                f"(override with {MAX_FLATS_ENV})"
-            )
-        basis, pivots = rref(rows)
-        if basis in seen:
-            return
-        members = frozenset(
-            i for i, f in enumerate(forms) if in_rowspace(f, basis, pivots)
-        )
-        seen[basis] = (members, len(basis), pivots)
-        queue.append((basis, pivots, members))
-
-    for f in forms:
-        visit([f])
-    while queue:
-        basis, pivots, members = queue.pop()
-        if len(basis) == n:
-            continue  # already the origin; no further joins
-        for i, f in enumerate(forms):
-            if i in members:
+    while stack:
+        members, rank, classes = stack.pop()
+        for r, joined in classes.items():
+            examined += 1
+            if examined > limit:
+                raise SizeError(
+                    f"intersection lattice exceeds {limit} candidate subspaces "
+                    f"(override with {MAX_FLATS_ENV})"
+                )
+            closed = members.union(joined)
+            if closed in ranks:
                 continue
-            visit(list(basis) + [f])
+            ranks[closed] = rank + 1
+            p = next(k for k, x in enumerate(r) if x)
+            residuals = {}
+            for s, others in classes.items():
+                if s == r:
+                    continue
+                if s[p]:
+                    s = _primitive([r[p] * x - s[p] * y for x, y in zip(s, r)])
+                residuals.setdefault(s, []).extend(others)
+            stack.append((closed, rank + 1, residuals))
 
     flats = [
         Flat(member_indices=members, rank=rk, count=len(members))
-        for members, rk, _ in seen.values()
+        for members, rk in ranks.items()
     ]
     flats.sort(key=Flat.sort_key)
     return flats
@@ -189,7 +213,7 @@ def lct_central(arr, max_candidates=None):
 
 
 # ---------------------------------------------------------------------------
-# braid arrangements and the partition-lattice fast path
+# braid arrangements: the partition lattice and the closed form
 
 
 def braid_pairs(g):
@@ -251,65 +275,30 @@ def braid_flats(g):
     return flats
 
 
-def _integer_partitions(g, largest=None):
-    if largest is None:
-        largest = g
-    if g == 0:
-        yield ()
-        return
-    for first in range(min(g, largest), 0, -1):
-        for rest in _integer_partitions(g - first, first):
-            yield (first,) + rest
-
-
-def _set_partitions_with_sizes(elements, sizes):
-    if not sizes:
-        yield ()
-        return
-    first = elements[0]
-    size = sizes[0]
-    rest_sizes = sizes[1:]
-    for others in combinations(elements[1:], size - 1):
-        block = (first,) + others
-        remaining = tuple(e for e in elements if e not in block)
-        for sub in _set_partitions_with_sizes(remaining, rest_sizes):
-            yield (block,) + sub
-
-
 def lct_braid(g):
-    """lct of the braid arrangement on g variables, via partitions.
+    """lct of the braid arrangement on g variables: 2/g, in closed form.
 
-    Block sizes determine (rank, count), so the minimum is taken
-    over integer partitions of g and only the minimizing shapes are
-    expanded into actual set partitions.
+    The flats of the braid arrangement are the set partitions of
+    {0..g-1} into blocks b_1, .., b_m (not all singletons), with
+    rank sum(b_i - 1) and count sum(b_i (b_i - 1) / 2).  Each
+    non-singleton block alone has ratio (b_i - 1) / (b_i (b_i - 1) / 2)
+    = 2 / b_i, and the ratio of the partition is the mediant of these
+    (singletons add 0 to both sums), so it is at least the smallest
+    of them, 2 / max b_i, which is at least 2/g.  The first bound is
+    tight only when all non-singleton blocks have the size max b_i,
+    the second only when that size is g; together, only for the
+    single block {0..g-1}.  So the lct is 2/g and its unique
+    minimizer is the full diagonal, with all C(g, 2) hyperplanes and
+    rank g - 1.  g is capped at MAX_BRAID_G, since the certificate
+    lists every hyperplane.
     """
     if g < 2:
         raise InputError("lct_braid requires g >= 2")
-    best = None
-    best_shapes = []
-    for shape in _integer_partitions(g):
-        if all(b == 1 for b in shape):
-            continue
-        r = g - len(shape)
-        s = sum(comb(b, 2) for b in shape)
-        ratio = Fraction(r, s)
-        if best is None or ratio < best:
-            best, best_shapes = ratio, [shape]
-        elif ratio == best:
-            best_shapes.append(shape)
-    minimizers = []
-    elements = tuple(range(g))
-    for shape in best_shapes:
-        # blocks of equal size commute; dedupe whole partitions
-        found = set()
-        for blocks in _set_partitions_with_sizes(elements, shape):
-            key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            if key in found:
-                continue
-            found.add(key)
-            minimizers.append(partition_flat(g, key))
-    minimizers = tuple(sorted(set(minimizers), key=Flat.sort_key))
-    return LctCertificate(value=best, minimizers=minimizers)
+    if g > MAX_BRAID_G:
+        raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
+    count = comb(g, 2)
+    diagonal = Flat(member_indices=frozenset(range(count)), rank=g - 1, count=count)
+    return LctCertificate(value=Fraction(2, g), minimizers=(diagonal,))
 
 
 def diagonal_discrepancy(g, c):

@@ -8,7 +8,6 @@ stabilization limit.
 import argparse
 import json
 import sys
-import time
 
 from .arrangements import arrangement_from_json, lct_braid, lct_central
 from .errors import (
@@ -133,7 +132,10 @@ def cmd_check_summation(args):
 def cmd_verify(args):
     results = []
     all_pass = True
-    for cid, ok, detail in _run_verify(args):
+    for cid, ok, detail, seconds in run_all(quick=args.quick, seed=args.seed):
+        # timings go to stderr so the stdout scorecard stays
+        # byte-identical across runs with the same seed
+        print(f"{cid}: {'PASS' if ok else 'FAIL'} ({seconds:.2f}s)", file=sys.stderr)
         results.append({"id": cid, "pass": ok, "detail": detail})
         all_pass = all_pass and ok
     scorecard = {
@@ -144,22 +146,6 @@ def cmd_verify(args):
     }
     _emit(scorecard, args.format)
     return EXIT_OK if all_pass else 1
-
-
-def _run_verify(args):
-    # timings go to stderr so the stdout scorecard stays byte-identical
-    # across runs with the same seed
-    from .verification import CRITERIA
-
-    for cid, fn in CRITERIA:
-        start = time.monotonic()
-        ok, detail = fn(quick=args.quick, seed=args.seed)
-        elapsed = time.monotonic() - start
-        print(
-            f"{cid}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)",
-            file=sys.stderr,
-        )
-        yield cid, ok, detail
 
 
 def build_parser():

@@ -3,14 +3,15 @@
 For each k the anticanonical determinantal divisor on (P^1)^(2k+1)
 is, in the affine chart, the Vandermonde product over 2k+1
 variables.  Its lct at the total-degeneracy point therefore reduces
-to the braid arrangement, giving the closed sequence 2k/(2k+1) whose
-limit decides the stability verdict.
+to the braid arrangement, whose lct is the closed form 2/(2k+1)
+(arrangements.lct_braid).  The samples are the sequence 2k/(2k+1),
+whose limit decides the stability verdict.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import braid_arrangement, lct_braid, lct_central
+from .arrangements import lct_braid
 from .errors import InputError, SizeError
 from .polynomials import MultiPoly, det_symbolic
 from .rationals import rat, rat_str
@@ -89,25 +90,19 @@ def veronese_determinant(k):
     return det
 
 
-def gamma_at_k(k, use_generic_lattice=False, max_k=MAX_K_LCT):
+def gamma_at_k(k):
     """lct of the scaled divisor around the diagonal, at level k.
 
     The chart model near total degeneracy is the braid arrangement
     on N = 2k+1 variables; the divisor carries coefficient 1/k, so
-    the sample value is k times the braid lct.  With
-    use_generic_lattice=True the lct is recomputed through the
-    matrix-rank lattice path instead of the partition fast path.
+    the sample value is k times the braid lct.
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    if k > max_k:
-        raise InputError(f"k capped at {max_k} for lct sampling")
+    if k > MAX_K_LCT:
+        raise InputError(f"k capped at {MAX_K_LCT} for lct sampling")
     nvars = 2 * k + 1
-    if use_generic_lattice:
-        cert = lct_central(braid_arrangement(nvars))
-    else:
-        cert = lct_braid(nvars)
-    value = k * cert.value
+    value = k * lct_braid(nvars).value
     sample = GammaSample(k=k, N=nvars, gamma_k=value)
     if sample.gamma_k != Fraction(2 * k, 2 * k + 1):
         raise AssertionError("gamma sample deviates from 2k/(2k+1)")

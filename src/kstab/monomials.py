@@ -333,8 +333,12 @@ def multiplier_ideal(prod):
     if n > MAX_ARITY:
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
 
+    # frozensets are only partially ordered, so sort their contents
     key = tuple(
-        sorted((ideal.arity, ideal.generators, c) for ideal, c in factors)
+        sorted(
+            (ideal.arity, tuple(sorted(ideal.generators)), c)
+            for ideal, c in factors
+        )
     )
     cached = _multiplier_cache.get(key)
     if cached is not None:
@@ -399,11 +403,13 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
 
     LHS is the multiplier ideal of a0^{c0} * (sum parts)^c.  RHS is
     the ideal sum over all splittings c = c_1 + .. + c_l with
-    denominators dividing D.  The RHS grows with grid refinement, so
-    the sweep accepts once two consecutive refinements D, 2D agree
-    and match the LHS; the stabilizing D is the witness.  Hitting
-    denom_bound without stabilizing raises InconclusiveError, which
-    is distinct from a genuine mismatch.
+    denominators dividing D.  The RHS grows with grid refinement and
+    can stay put for a while before growing again, so agreement of
+    two refinements alone proves nothing.  The sweep accepts once two
+    consecutive refinements D, 2D agree and match the LHS; the first
+    of them is the witness.  A monomial of the RHS outside the LHS
+    is a proven mismatch at that D.  Hitting denom_bound otherwise
+    raises InconclusiveError, which is distinct from a mismatch.
     """
     c0, c = rat(c0), rat(c)
     if denom_bound < 1:
@@ -437,12 +443,13 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     prev = prev_D = None
     while D <= denom_bound:
         cur = rhs_at(D)
-        if prev is not None and cur == prev:
+        if not cur.issubset(lhs):
             return SummationResult(
-                equal=(cur == lhs),
-                witness_denominator=prev_D,
-                lhs=lhs,
-                rhs=cur,
+                equal=False, witness_denominator=D, lhs=lhs, rhs=cur
+            )
+        if cur == prev == lhs:
+            return SummationResult(
+                equal=True, witness_denominator=prev_D, lhs=lhs, rhs=cur
             )
         prev, prev_D = cur, D
         D *= 2

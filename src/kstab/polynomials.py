@@ -198,26 +198,9 @@ def df_coefficient(w, N, n):
         raise InputError(f"deg w = {w.degree} exceeds n+1 = {n + 1}")
     if N.degree != n:
         raise InputError(f"deg N = {N.degree}, expected exactly n = {n}")
-    # expand the bilinear form in two variables (k, k') and read off
-    # the (n+1, n) coefficient
-    k = MultiPoly.variable(0, 2)
-    kp = MultiPoly.variable(1, 2)
-    w_k = _uni_to_multi(w, 0)
-    w_kp = _uni_to_multi(w, 1)
-    N_k = _uni_to_multi(N, 0)
-    N_kp = _uni_to_multi(N, 1)
-    form = w_k * kp * N_kp - w_kp * k * N_k
-    return form.coefficient((n + 1, n))
-
-
-def _uni_to_multi(p, var):
-    terms = {}
-    for i, c in enumerate(p.coeffs):
-        if c != 0:
-            expo = [0, 0]
-            expo[var] = i
-            terms[tuple(expo)] = c
-    return MultiPoly(2, terms)
+    # k^(n+1) k'^n comes from w[n+1] k^(n+1) * k' N[n-1] k'^(n-1) in
+    # the first term and from w[n] k'^n * k N[n] k^n in the second
+    return w.coeff(n + 1) * N.coeff(n - 1) - w.coeff(n) * N.coeff(n)
 
 
 class MultiPoly:

@@ -9,6 +9,7 @@ these suites.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -308,9 +309,8 @@ CRITERIA = [
 
 
 def run_all(quick=False, seed=42):
-    """Run every criterion; returns the list of (id, ok, detail)."""
-    results = []
+    """Run every criterion in turn, yielding (id, ok, detail, seconds)."""
     for cid, fn in CRITERIA:
+        start = time.monotonic()
         ok, detail = fn(quick=quick, seed=seed)
-        results.append((cid, ok, detail))
-    return results
+        yield cid, ok, detail, time.monotonic() - start

@@ -1,4 +1,4 @@
-"""Central arrangement lct: lattice enumeration and the braid fast path."""
+"""Central arrangement lct: lattice enumeration and the braid closed form."""
 
 import random
 from fractions import Fraction
@@ -18,10 +18,53 @@ from kstab import (
     lct_braid,
     lct_central,
 )
-from kstab.arrangements import MAX_FLATS_ENV, braid_flats
-from kstab.linalg import in_rowspace, rank, rref
+from kstab.arrangements import MAX_BRAID_G, MAX_FLATS_ENV, braid_flats
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# a Fraction row-reduction oracle, independent of the integer engine
+
+
+def rref(rows):
+    """Reduced row echelon form as (basis, pivots); the basis tuple is
+    a canonical representative of the row space."""
+    basis = []
+    pivots = []
+    for row in rows:
+        red = reduce_row(row, basis, pivots)
+        piv = next((j for j, x in enumerate(red) if x != 0), None)
+        if piv is None:
+            continue
+        red = tuple(x / red[piv] for x in red)
+        for i, b in enumerate(basis):
+            if b[piv] != 0:
+                basis[i] = tuple(x - b[piv] * y for x, y in zip(b, red))
+        pos = 0
+        while pos < len(pivots) and pivots[pos] < piv:
+            pos += 1
+        basis.insert(pos, red)
+        pivots.insert(pos, piv)
+    return tuple(basis), tuple(pivots)
+
+
+def reduce_row(row, basis, pivots):
+    red = [F(x) for x in row]
+    for b, piv in zip(basis, pivots):
+        c = red[piv]
+        if c != 0:
+            for j in range(len(red)):
+                red[j] -= c * b[j]
+    return tuple(red)
+
+
+def in_rowspace(row, basis, pivots):
+    return all(x == 0 for x in reduce_row(row, basis, pivots))
+
+
+def rank(rows):
+    return len(rref(rows)[0])
 
 
 def brute_force_flats(arr):
@@ -103,10 +146,15 @@ def test_coordinate_arrangement_lattice(n):
     assert flat_stats(flats) == expected
 
 
-def _random_arrangement(rng, n, max_forms=5):
+def _random_arrangement(rng, n, max_forms=5, fractional=False):
+    def entry():
+        if fractional:
+            return F(rng.randint(-4, 4), rng.randint(1, 5))
+        return rng.randint(-2, 2)
+
     while True:
         rows = {
-            tuple(rng.randint(-2, 2) for _ in range(n))
+            tuple(entry() for _ in range(n))
             for _ in range(rng.randint(2, max_forms))
         }
         forms = sorted(
@@ -121,6 +169,9 @@ def test_lattice_matches_brute_force_on_random_arrangements():
     rng = random.Random("lattice")
     for _ in range(8):
         arr = _random_arrangement(rng, rng.randint(2, 3))
+        assert flat_stats(intersection_lattice(arr)) == brute_force_flats(arr)
+    for _ in range(8):
+        arr = _random_arrangement(rng, rng.randint(2, 4), 6, fractional=True)
         assert flat_stats(intersection_lattice(arr)) == brute_force_flats(arr)
 
 
@@ -166,6 +217,12 @@ def test_lct_braid_closed_form(g, expected):
     assert full and full[0].count == comb(g, 2)
 
 
+def test_lct_braid_size_cap():
+    assert lct_braid(MAX_BRAID_G).value == F(2, MAX_BRAID_G)
+    with pytest.raises(SizeError):
+        lct_braid(MAX_BRAID_G + 1)
+
+
 @pytest.mark.parametrize("g", range(2, 8))
 def test_braid_fast_path_matches_generic(g):
     fast = lct_braid(g)
@@ -174,7 +231,7 @@ def test_braid_fast_path_matches_generic(g):
     assert fast.minimizers == generic.minimizers
 
 
-@pytest.mark.parametrize("g", range(2, 8))
+@pytest.mark.parametrize("g", range(2, 9))
 def test_partition_flats_match_matrix_flats(g):
     from_partitions = flat_stats(braid_flats(g))
     from_matrices = flat_stats(intersection_lattice(braid_arrangement(g)))

@@ -42,6 +42,14 @@ def test_lct_braid_precondition():
     assert "input error" in proc.stderr
 
 
+def test_lct_braid_size_cap_exits_3():
+    proc = run_cli("lct-braid", "--g", "1001")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "limit reached" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_lct_arrangement_from_file(tmp_path):
     tri = tmp_path / "tri.json"
     tri.write_text(json.dumps({"n": 2, "forms": [[1, 0], [0, 1], [1, 1]]}))

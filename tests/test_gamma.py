@@ -8,9 +8,11 @@ from kstab import (
     InputError,
     MultiPoly,
     SizeError,
+    braid_arrangement,
     classify,
     gamma_at_k,
     gamma_report,
+    lct_central,
     vandermonde_product,
     veronese_determinant,
 )
@@ -50,9 +52,8 @@ def test_gamma_samples_closed_form(k, expected):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gamma_cross_oracle(k):
-    fast = gamma_at_k(k)
-    generic = gamma_at_k(k, use_generic_lattice=True)
-    assert fast == generic
+    generic = lct_central(braid_arrangement(2 * k + 1))
+    assert gamma_at_k(k).gamma_k == k * generic.value
 
 
 def test_gamma_sequence_monotone_below_one():

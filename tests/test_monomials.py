@@ -16,7 +16,7 @@ from kstab import (
     summation_check,
 )
 from kstab.errors import InconclusiveError
-from kstab.monomials import ideal_from_json
+from kstab.monomials import _multiplier_cache, ideal_from_json
 
 F = Fraction
 
@@ -160,6 +160,16 @@ def test_multiplier_monotone_in_exponent():
         assert bigger.issubset(smaller)
 
 
+def test_multiplier_cache_ignores_factor_order():
+    a = MonomialIdeal(2, [(2, 0), (0, 1)])
+    b = MonomialIdeal(2, [(1, 0), (0, 2)])
+    before = len(_multiplier_cache)
+    first = multiplier_ideal([(a, F(1)), (b, F(1))])
+    second = multiplier_ideal([(b, F(1)), (a, F(1))])
+    assert len(_multiplier_cache) - before == 1
+    assert second is first
+
+
 def test_multiplier_output_is_upward_closed():
     rng = random.Random("closed")
     for _ in range(10):
@@ -240,6 +250,20 @@ def test_summation_with_principal_prefactor():
         1,
     )
     assert result.equal
+
+
+def test_summation_does_not_stop_on_a_stalled_refinement():
+    # D = 1 and D = 2 both give (x, y); the split (1/4, 3/4) at D = 4
+    # reaches the unit ideal, which is J(x^(1/2) (x, y))
+    result = summation_check(
+        MonomialIdeal.principal((1, 0)),
+        F(1, 2),
+        [MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))],
+        1,
+    )
+    assert result.equal
+    assert result.lhs.is_unit()
+    assert result.witness_denominator == 4
 
 
 def test_summation_inconclusive_is_distinct_from_false():
