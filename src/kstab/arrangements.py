@@ -323,9 +323,9 @@ def arrangement_from_json(data):
     if "forms" not in data:
         raise InputError("arrangement JSON missing field 'forms'")
     n = data["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise InputError("field 'n' must be an integer")
     forms = data["forms"]
-    if not isinstance(forms, list):
-        raise InputError("field 'forms' must be a list")
+    if not isinstance(forms, list) or not all(isinstance(r, list) for r in forms):
+        raise InputError("field 'forms' must be a list of coefficient lists")
     return CentralArrangement(n, [[rat(c) for c in row] for row in forms])

@@ -16,7 +16,7 @@ from .errors import (
     InputError,
     SizeError,
 )
-from .flags import donaldson_futaki, flag_from_json
+from .flags import DEFAULT_MULTIPLIERS, MAX_KS, donaldson_futaki, flag_from_json
 from .gamma import gamma_at_k, gamma_report_json
 from .monomials import ideal_from_json, summation_check
 from .rationals import rat, rat_str
@@ -33,9 +33,9 @@ def _read_json_file(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, non-UTF-8 bytes, oversized integers
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -92,10 +92,12 @@ def cmd_gamma(args):
 def cmd_df(args):
     flag = flag_from_json(_read_json_file(args.flag))
     s = rat(args.s)
-    multipliers = (2, 3, 4, 5, 6, 8)
+    multipliers = DEFAULT_MULTIPLIERS
     if args.k_max is not None:
-        extra = [m for m in range(10, args.k_max + 1, 2)]
-        multipliers = tuple(list(multipliers) + extra)
+        # every multiplier m samples k*s >= m, which weight caps at MAX_KS
+        if args.k_max > MAX_KS:
+            raise SizeError(f"--k-max capped at {MAX_KS}")
+        multipliers += tuple(range(10, args.k_max + 1, 2))
     report = donaldson_futaki(
         flag, s, k_base=args.k_base, multipliers=multipliers
     )
@@ -105,9 +107,13 @@ def cmd_df(args):
 
 def cmd_check_summation(args):
     data = _read_json_file(args.file)
+    if not isinstance(data, dict):
+        raise InputError("summation JSON must be an object")
     for field in ("a0", "parts", "c"):
         if field not in data:
             raise InputError(f"summation JSON missing field '{field}'")
+    if not isinstance(data["parts"], list):
+        raise InputError("field 'parts' must be a list")
     a0 = ideal_from_json(data["a0"])
     parts = [ideal_from_json(p) for p in data["parts"]]
     result = summation_check(

@@ -11,11 +11,13 @@ on exact integers and rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, SizeError
 from .polynomials import SampleGrid, UniPoly, df_coefficient, stabilized_fit
 from .rationals import rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
+# weight's cap on k*s: blind escalation at s = 1 reaches base 60 times multiplier 8
+MAX_KS = 480
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
 
@@ -31,7 +33,7 @@ class PointDivisor:
     def __init__(self, multiplicities):
         items = []
         for label, mult in dict(multiplicities).items():
-            if not isinstance(mult, int) or mult < 0:
+            if type(mult) is not int or mult < 0:
                 raise InputError("multiplicities must be nonnegative integers")
             if mult > 0:
                 items.append((str(label), mult))
@@ -105,8 +107,10 @@ def flag_from_json(data):
     if "divisors" not in data:
         raise InputError("flag JSON missing field 'divisors'")
     divisors = data["divisors"]
-    if not isinstance(divisors, list):
-        raise InputError("field 'divisors' must be a list")
+    if not isinstance(divisors, list) or not all(
+        isinstance(d, dict) for d in divisors
+    ):
+        raise InputError("field 'divisors' must be a list of objects")
     if "M" in data and data["M"] != len(divisors):
         raise InputError("field 'M' disagrees with the divisor list length")
     return FlagIdealP1([PointDivisor(d) for d in divisors])
@@ -183,6 +187,8 @@ def weight(flag, k, s):
     ks = k * s
     if ks.denominator != 1 or ks < 1:
         raise InputError(f"k*s must be a positive integer (got {rat_str(ks)})")
+    if ks > MAX_KS:
+        raise SizeError(f"k*s capped at {MAX_KS} (got {ks})")
     ks = int(ks)
     family = tilde_divisors(flag, ks)
     N = 2 * k + 1

@@ -17,7 +17,6 @@ from .polynomials import MultiPoly, det_symbolic
 from .rationals import rat, rat_str
 
 MAX_K_SYMBOLIC = 3
-MAX_K_LCT = 6
 
 STABLE = "stable"
 SEMISTABLE_NOT_STABLE = "semistable_not_stable"
@@ -95,12 +94,11 @@ def gamma_at_k(k):
 
     The chart model near total degeneracy is the braid arrangement
     on N = 2k+1 variables; the divisor carries coefficient 1/k, so
-    the sample value is k times the braid lct.
+    the sample value is k times the braid lct.  lct_braid's cap on
+    N bounds k at 499.
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    if k > MAX_K_LCT:
-        raise InputError(f"k capped at {MAX_K_LCT} for lct sampling")
     nvars = 2 * k + 1
     value = k * lct_braid(nvars).value
     sample = GammaSample(k=k, N=nvars, gamma_k=value)

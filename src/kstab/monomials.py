@@ -3,7 +3,9 @@
 Multiplier ideals of monomial data have a purely combinatorial
 description: a monomial x^v belongs to the multiplier ideal of
 a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
-of the weighted Minkowski sum of the Newton polyhedra.  That makes
+of the weighted Minkowski sum of the Newton polyhedra.  Scaled by
+the lcm of the weight denominators, that test runs in integers, one
+closed-form staircase step per prefix of a bounded box.  That makes
 this module an exact, independent oracle for the multiplier-ideal
 laws used elsewhere, including the summation formula over rational
 exponent splittings.
@@ -18,16 +20,27 @@ from .errors import InconclusiveError, InputError, SizeError
 from .rationals import rat, rat_str
 
 MAX_ARITY = 4
+MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
 
 
 def _minimalize(gens):
-    """Drop generators dominated componentwise by another generator."""
-    gens = set(gens)
-    out = []
-    for g in sorted(gens):
-        if any(h != g and all(a >= b for a, b in zip(g, h)) for h in gens):
+    """Drop generators dominated componentwise by another generator.
+
+    A generator h <= g precedes g lexicographically, so g is checked
+    only against the generators kept before it, which all have
+    h[0] <= g[0]; of those sharing a middle part h[1:-1], the one
+    with the least last exponent decides.
+    """
+    least, out = {}, []  # least: middle part -> least last exponent kept
+    for g in sorted(set(gens)):
+        mid, last = g[1:-1], g[-1]
+        if any(
+            t <= last and all(a <= b for a, b in zip(m, mid))
+            for m, t in least.items()
+        ):
             continue
         out.append(g)
+        least[mid] = min(least.get(mid, last), last)
     return frozenset(out)
 
 
@@ -39,14 +52,14 @@ class MonomialIdeal:
     generators: frozenset
 
     def __init__(self, arity, generators):
-        if arity < 1:
-            raise InputError("arity must be >= 1")
+        if type(arity) is not int or arity < 1:
+            raise InputError("arity must be an integer >= 1")
         gens = set()
         for g in generators:
             g = tuple(g)
             if len(g) != arity:
                 raise InputError("generator arity mismatch")
-            if any((not isinstance(e, int)) or e < 0 for e in g):
+            if any(type(e) is not int or e < 0 for e in g):
                 raise InputError("exponents must be nonnegative integers")
             gens.add(g)
         if not gens:
@@ -69,9 +82,7 @@ class MonomialIdeal:
         return any(all(a >= b for a, b in zip(v, g)) for g in self.generators)
 
     def issubset(self, other):
-        if self.arity != other.arity:
-            raise InputError("arity mismatch")
-        return all(other.contains_vector(g) for g in self.generators)
+        return self + other == other
 
     def __add__(self, other):
         if self.arity != other.arity:
@@ -87,19 +98,6 @@ class MonomialIdeal:
             for h in other.generators
         }
         return MonomialIdeal(self.arity, gens)
-
-    def power(self, exponent):
-        if exponent < 0:
-            raise InputError("power must be >= 0")
-        result = MonomialIdeal.unit(self.arity)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def max_generator(self):
         return tuple(
@@ -119,7 +117,10 @@ def ideal_from_json(data):
     for field in ("n", "generators"):
         if field not in data:
             raise InputError(f"ideal JSON missing field '{field}'")
-    return MonomialIdeal(data["n"], [tuple(g) for g in data["generators"]])
+    gens = data["generators"]
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise InputError("field 'generators' must be a list of exponent lists")
+    return MonomialIdeal(data["n"], [tuple(g) for g in gens])
 
 
 @dataclass(frozen=True)
@@ -201,30 +202,17 @@ def _cross_normal(directions, n):
 def hull_inequalities(points, n):
     """Facets of conv(points) + orthant with positive offset.
 
-    Candidate normals come from all ways to span a hyperplane by
-    point differences and coordinate rays; each surviving candidate
-    must be componentwise nonnegative and valid on every point.
-    Coordinate bounds x_i >= 0 are not included here.
+    Points are integer vectors; each facet is a primitive integer pair
+    (normal, offset) meaning <normal, x> >= offset.  Candidate normals
+    come from all ways to span a hyperplane by point differences and
+    coordinate rays; each surviving candidate must be componentwise
+    nonnegative and valid on every point.  Coordinate bounds x_i >= 0
+    are not included here.
     """
     if not points:
         raise InputError("hull needs at least one point")
-    # scale to integer coordinates; facets are scale-equivariant
-    denom = 1
-    for p in points:
-        for x in p:
-            denom = denom * rat(x).denominator // math.gcd(denom, rat(x).denominator)
-    pts = [tuple(int(rat(x) * denom) for x in p) for p in points]
-    # drop dominated points: they are interior to q + orthant
-    keep = []
-    seen = set()
-    for p in pts:
-        if p in seen:
-            continue
-        seen.add(p)
-        if any(q != p and all(a >= b for a, b in zip(p, q)) for q in pts):
-            continue
-        keep.append(p)
-    pts = keep
+    # dominated points are interior to q + orthant
+    pts = sorted(_minimalize(points))
 
     candidates = set()
     for d in range(1, n + 1):
@@ -236,27 +224,20 @@ def hull_inequalities(points, n):
                     tuple(1 if j == i else 0 for j in range(n)) for i in rays
                 ]
                 normal = _cross_normal(dirs, n)
-                if all(x == 0 for x in normal):
-                    continue
                 if all(x <= 0 for x in normal):
                     normal = tuple(-x for x in normal)
-                if any(x < 0 for x in normal):
+                if not any(normal) or any(x < 0 for x in normal):
                     continue
                 offset = sum(a * b for a, b in zip(normal, base))
                 if offset <= 0:
                     continue
-                g = 0
-                for x in normal:
-                    g = math.gcd(g, x)
-                g = math.gcd(g, offset)
-                candidates.add(
-                    (tuple(x // g for x in normal), offset // g)
-                )
-    facets = []
-    for normal, offset in sorted(candidates):
-        if all(sum(a * b for a, b in zip(normal, p)) >= offset for p in pts):
-            facets.append((normal, Fraction(offset, denom)))
-    return tuple(facets)
+                g = math.gcd(offset, *normal)
+                candidates.add((tuple(x // g for x in normal), offset // g))
+    return tuple(
+        (normal, offset)
+        for normal, offset in sorted(candidates)
+        if all(sum(a * b for a, b in zip(normal, p)) >= offset for p in pts)
+    )
 
 
 def newton_polyhedron(ideal):
@@ -265,40 +246,29 @@ def newton_polyhedron(ideal):
     if n > MAX_ARITY:
         raise SizeError(f"Newton polyhedra capped at arity {MAX_ARITY}")
     coordinate = tuple(
-        (tuple(1 if j == i else 0 for j in range(n)), Fraction(0))
-        for i in range(n)
+        (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
     )
     facets = hull_inequalities(ideal.sorted_generators(), n)
     return NewtonPolyhedron(source=ideal, inequalities=coordinate + facets)
 
 
-def _weighted_points(factors):
-    """All sums of one weighted generator per factor.
+def _weighted_points(factors, scale):
+    """Sums of one weighted generator per factor, scaled to integers.
 
-    conv of these plus the orthant equals the weighted Minkowski sum
-    of the individual Newton polyhedra.
+    scale clears every weight's denominator; conv of the points
+    sum_i (c_i * scale) * g_i plus the orthant is scale times the
+    weighted Minkowski sum of the factors' Newton polyhedra.
     """
-    if not factors:
-        raise InputError("weighted point set needs at least one factor")
-    arity = factors[0][0].arity
-    points = [(Fraction(0),) * arity]
+    points = {(0,) * factors[0][0].arity}
     for ideal, c in factors:
-        points = [
-            tuple(x + c * g for x, g in zip(p, gen))
+        w = c.numerator * (scale // c.denominator)
+        # dominated combinations never support a facet
+        points = _minimalize(
+            tuple(x + w * g for x, g in zip(p, gen))
             for p in points
             for gen in ideal.generators
-        ]
-        # dominated combinations never support a facet
-        points = sorted(set(points))
-        pruned = []
-        for p in points:
-            if any(
-                q != p and all(a >= b for a, b in zip(p, q)) for q in points
-            ):
-                continue
-            pruned.append(p)
-        points = pruned
-    return points
+        )
+    return sorted(points)
 
 
 _multiplier_cache = {}
@@ -310,7 +280,10 @@ def multiplier_ideal(prod):
     Membership: x^v is in the ideal iff v + (1,..,1) is interior to
     the weighted sum P of the Newton polyhedra, i.e. satisfies every
     H-inequality strictly (P is full-dimensional, so topological
-    interior is exactly strict inequality).
+    interior is exactly strict inequality).  With the facets of
+    scale * P as primitive integer pairs (a, b), the condition
+    <a, v + 1> > b / scale reads <a, v> >= T in integers, where
+    T = b // scale + 1 - sum(a).
 
     The scan box is safe: let corner_j = sum_i c_i * maxgen_{i,j} + 1.
     If v is a member with v_j >= corner_j, write the point
@@ -321,10 +294,19 @@ def multiplier_ideal(prod):
     exists on a neighborhood.  Hence v - e_j is a member too, so no
     minimal generator leaves the box, and membership beyond it
     follows by monotonicity.
+
+    The staircase: a prefix v' = (v_1..v_{n-1}) of the box is
+    admitted when it meets every facet with a_n = 0; its least member
+    (v', t) then has t = h(v') = max(0, ceil((T - <a', v'>) / a_n))
+    over the facets with a_n > 0.  Normals are nonnegative, so
+    admitted prefixes are closed upward and h falls as v' grows.  A
+    minimal generator (v', t) has t = h(v'), and (v' - e_j, h(v')) is
+    a member iff v' - e_j is admitted with the same h; so (v', h(v'))
+    is a minimal generator iff no admitted v' - e_j has that h.
     """
     if not isinstance(prod, WeightedIdealProduct):
         prod = WeightedIdealProduct(prod)
-    factors = [(ideal, c) for ideal, c in prod.factors if c > 0]
+    factors = [(ideal, c) for ideal, c in prod.factors if c]
     if not factors:
         if not prod.factors:
             raise InputError("product needs at least one factor")
@@ -344,28 +326,39 @@ def multiplier_ideal(prod):
     if cached is not None:
         return cached
 
-    points = _weighted_points(factors)
-    facets = hull_inequalities(points, n)
+    scale = math.lcm(*(c.denominator for _, c in factors))
+    weights = [c.numerator * (scale // c.denominator) for _, c in factors]
+    corner = [
+        sum(w * m for w, m in zip(weights, col)) // scale + 1
+        for col in zip(*(ideal.max_generator() for ideal, _ in factors))
+    ]
+    prefixes = math.prod(c + 1 for c in corner[:-1])
+    if prefixes > MAX_SCAN_PREFIXES:
+        raise SizeError(
+            f"multiplier-ideal scan capped at {MAX_SCAN_PREFIXES} prefixes "
+            f"(this product needs {prefixes})"
+        )
 
-    corner = []
-    for j in range(n):
-        bound = sum(c * ideal.max_generator()[j] for ideal, c in factors)
-        corner.append(int(bound) + 1)
+    flat, last = [], []
+    for a, b in hull_inequalities(_weighted_points(factors, scale), n):
+        t = b // scale + 1 - sum(a)
+        (last if a[-1] else flat).append((a[:-1], a[-1], t))
 
+    height = {}  # admitted prefix -> least last exponent of a member
     members = []
-
-    box = sorted(
-        product(*(range(c + 1) for c in corner)), key=lambda v: (sum(v), v)
-    )
-    for v in box:
-        if any(all(a >= b for a, b in zip(v, m)) for m in members):
-            continue  # member, but dominated: never a minimal generator
-        z = tuple(x + 1 for x in v)
-        if all(
-            sum(a * b for a, b in zip(normal, z)) > offset
-            for normal, offset in facets
+    for v in product(*(range(c + 1) for c in corner[:-1])):
+        if any(sum(x * y for x, y in zip(a, v)) < t for a, _, t in flat):
+            continue
+        h = max(
+            [0] + [-((sum(x * y for x, y in zip(a, v)) - t) // an) for a, an, t in last]
+        )
+        height[v] = h
+        if not any(
+            height.get(v[:j] + (v[j] - 1,) + v[j + 1:]) == h
+            for j in range(n - 1)
+            if v[j]
         ):
-            members.append(v)
+            members.append(v + (h,))
     if not members:
         raise AssertionError("multiplier ideal of a finite product is nonzero")
     result = MonomialIdeal(n, members)
@@ -377,17 +370,14 @@ def lct_monomial(ideal):
     """Largest c with (1,..,1) in c * P(ideal), by ratio minimization."""
     if ideal.is_unit():
         raise InputError("lct undefined/infinite for the unit ideal")
-    poly = newton_polyhedron(ideal)
-    best = None
-    for normal, offset in poly.inequalities:
-        if offset <= 0:
-            continue
-        ratio = Fraction(sum(normal)) / offset
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
+    ratios = [
+        Fraction(sum(normal), offset)
+        for normal, offset in newton_polyhedron(ideal).inequalities
+        if offset > 0
+    ]
+    if not ratios:
         raise AssertionError("proper ideal must have a separating facet")
-    return best
+    return min(ratios)
 
 
 @dataclass(frozen=True)
@@ -412,31 +402,26 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     raises InconclusiveError, which is distinct from a mismatch.
     """
     c0, c = rat(c0), rat(c)
-    if denom_bound < 1:
-        raise InputError("denom_bound must be >= 1")
+    if type(denom_bound) is not int or denom_bound < 1:
+        raise InputError("denom_bound must be an integer >= 1")
     if not parts:
         raise InputError("need at least one summand ideal")
     arity = parts[0].arity
     if a0.arity != arity or any(p.arity != arity for p in parts):
         raise InputError("all ideals must share one arity")
 
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+    total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
 
     def rhs_at(D):
-        weight = c * D
-        assert weight.denominator == 1
-        weight = int(weight)
-        result = None
-        for split in _compositions(weight, len(parts)):
+        gens = set()
+        # D is a multiple of c's denominator: c splits into c * D parts of 1/D
+        for split in _compositions(c.numerator * D // c.denominator, len(parts)):
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]
-            term = multiplier_ideal(factors)
-            result = term if result is None else result + term
-        return result
+            gens |= multiplier_ideal(factors).generators
+        return MonomialIdeal(arity, gens)
 
     base = c.denominator
     D = base

@@ -97,6 +97,14 @@ def test_gamma_bad_k():
     assert run_cli("gamma-p1").returncode == 2
 
 
+def test_gamma_k_is_capped_only_by_lct_braid():
+    assert run_json("gamma-p1", "--k", "7")["gamma_k"] == "14/15"
+    proc = run_cli("gamma-p1", "--k", "500")  # N = 1001
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # df
 
@@ -143,6 +151,15 @@ def test_df_unstabilized_grid_exits_3(tmp_path):
     assert data["w_poly"] == ["0", "-26/9", "-32/9"]
 
 
+@pytest.mark.parametrize("option", ["--k-max", "--k-base"])
+def test_df_sample_size_cap_exits_3(point_flag, option):
+    proc = run_cli("df", "--flag", point_flag, option, "100000000")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "limit reached" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # summation
 
@@ -166,6 +183,24 @@ def test_check_summation(tmp_path):
     assert data["witness_denominator"] == 2
     assert data["lhs"] == {"n": 2, "generators": [[0, 1], [1, 0]]}
     assert data["rhs"] == data["lhs"]
+
+
+def test_check_summation_scan_cap_exits_3(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "a0": {"n": 2, "generators": [[0, 0]]},
+                "parts": [{"n": 2, "generators": [[100000, 0], [0, 100000]]}],
+                "c": 1,
+            }
+        )
+    )
+    proc = run_cli("check-summation", "--file", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "limit reached" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_summation_missing_field(tmp_path):
@@ -212,3 +247,51 @@ def test_text_format_rendering():
 
 def test_unknown_subcommand_rejected():
     assert run_cli("frobnicate").returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: typed errors, never a traceback
+
+IDEAL = {"n": 1, "generators": [[1]]}
+SUMMATION = {"a0": {"n": 1, "generators": [[0]]}, "parts": [IDEAL], "c": 1}
+
+MALFORMED = {
+    "summation-integer": ("check-summation", 5),
+    "summation-parts": ("check-summation", dict(SUMMATION, parts=5)),
+    "summation-generators": (
+        "check-summation",
+        dict(SUMMATION, a0={"n": 1, "generators": 5}),
+    ),
+    "summation-bound-string": ("check-summation", dict(SUMMATION, denom_bound="8")),
+    "summation-bound-bool": ("check-summation", dict(SUMMATION, denom_bound=True)),
+    "ideal-n-bool": ("check-summation", dict(SUMMATION, parts=[dict(IDEAL, n=True)])),
+    "exponent-bool": (
+        "check-summation",
+        dict(SUMMATION, parts=[dict(IDEAL, generators=[[True]])]),
+    ),
+    "arrangement-n-bool": ("lct-arrangement", {"n": True, "forms": [[1]]}),
+    "multiplicity-bool": ("df", {"divisors": [{"p": True}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_an_input_error(tmp_path, case):
+    command, doc = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    option = "--flag" if command == "df" else "--file"
+    proc = run_cli(command, option, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unreadable_file_is_an_input_error(tmp_path):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"n": 1, "forms": [["\xe9"]]}')
+    for path in (tmp_path, binary):
+        proc = run_cli("lct-arrangement", "--file", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:")
+        assert "Traceback" not in proc.stderr

@@ -17,12 +17,13 @@ from kstab import (
     GridTooShortError,
     InputError,
     PointDivisor,
+    SizeError,
     UniPoly,
     donaldson_futaki,
     tilde_divisors,
     weight,
 )
-from kstab.flags import flag_from_json
+from kstab.flags import MAX_KS, flag_from_json
 from kstab.verification import df_with_escalation, random_flag_corpus
 
 F = Fraction
@@ -181,6 +182,15 @@ def test_weight_input_contracts():
         weight(POINT, 3, F(1, 2))  # k*s not an integer
     # k = 4, s = 1/2: ks = 2, m = 8 + 7, w = 15 - 9*2
     assert weight(POINT, 4, F(1, 2)) == -3
+
+
+def test_weight_size_cap():
+    # reduced point: w(k) = -(k^2 + k)/2 at s = 1
+    assert weight(POINT, MAX_KS, 1) == -(MAX_KS**2 + MAX_KS) // 2
+    with pytest.raises(SizeError):
+        weight(POINT, MAX_KS + 1, 1)
+    with pytest.raises(SizeError):
+        weight(POINT, MAX_KS, 2)
 
 
 def test_scaling_identity_chain_vs_exponent():

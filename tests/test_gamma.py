@@ -65,8 +65,8 @@ def test_gamma_sequence_monotone_below_one():
 def test_gamma_input_contracts():
     with pytest.raises(InputError):
         gamma_at_k(0)
-    with pytest.raises(InputError):
-        gamma_at_k(7)  # over the sampling cap
+    with pytest.raises(SizeError):
+        gamma_at_k(500)  # N = 1001 is over lct_braid's cap
 
 
 def test_verdict_thresholds():

@@ -1,7 +1,9 @@
 """Monomial multiplier ideals: polyhedra, laws, summation formula."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +18,7 @@ from kstab import (
     summation_check,
 )
 from kstab.errors import InconclusiveError
-from kstab.monomials import _multiplier_cache, ideal_from_json
+from kstab.monomials import _multiplier_cache, hull_inequalities, ideal_from_json
 
 F = Fraction
 
@@ -45,8 +47,6 @@ def test_sum_product_power():
     y3 = MonomialIdeal.principal((0, 3))
     assert x2 + y3 == MonomialIdeal(2, [(2, 0), (0, 3)])
     assert x2 * y3 == MonomialIdeal.principal((2, 3))
-    assert XY.power(2) == MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-    assert XY.power(0).is_unit()
 
 
 def test_ideal_input_contracts():
@@ -158,6 +158,55 @@ def test_multiplier_monotone_in_exponent():
         bigger = multiplier_ideal([(a, c + step)])
         smaller = multiplier_ideal([(a, c)])
         assert bigger.issubset(smaller)
+
+
+def box_scan(factors):
+    """Reference multiplier ideal: scan the whole corner box in order.
+
+    Every point of the box (see multiplier_ideal's docstring) that no
+    member found so far divides is tested against every facet of P in
+    Fraction arithmetic, with the facets of scale * P divided back.
+    """
+    n = factors[0][0].arity
+    factors = [(a, c) for a, c in factors if c > 0]
+    if not factors:
+        return MonomialIdeal.unit(n)
+    scale = math.lcm(*(c.denominator for _, c in factors))
+    weighted = [[(c * scale, g) for g in a.generators] for a, c in factors]
+    points = [
+        tuple(int(sum(w * g[j] for w, g in combo)) for j in range(n))
+        for combo in product(*weighted)
+    ]
+    facets = [(a, F(b, scale)) for a, b in hull_inequalities(points, n)]
+    corner = [
+        int(sum(c * max(g[j] for g in a.generators) for a, c in factors)) + 1
+        for j in range(n)
+    ]
+    box = product(*(range(x + 1) for x in corner))
+    members = []
+    for v in sorted(box, key=lambda v: (sum(v), v)):
+        if any(all(a >= b for a, b in zip(v, m)) for m in members):
+            continue  # member, but dominated: never a minimal generator
+        z = tuple(x + 1 for x in v)
+        if all(sum(a * b for a, b in zip(nu, z)) > offset for nu, offset in facets):
+            members.append(v)
+    return MonomialIdeal(n, members)
+
+
+def test_staircase_matches_box_scan():
+    rng = random.Random("staircase")
+    max_exp = {1: 6, 2: 4, 3: 3, 4: 2}
+    for i in range(300):
+        n = 1 + i % 4
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            gens = [
+                tuple(rng.randint(0, max_exp[n]) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            q = rng.randint(1, 6)
+            factors.append((MonomialIdeal(n, gens), F(rng.randint(0, 2 * q), q)))
+        assert multiplier_ideal(factors) == box_scan(factors), factors
 
 
 def test_multiplier_cache_ignores_factor_order():
