@@ -16,11 +16,11 @@ from .errors import (
     InputError,
     SizeError,
 )
-from .flags import DEFAULT_MULTIPLIERS, MAX_KS, donaldson_futaki, flag_from_json
+from .flags import flag_from_json
 from .gamma import gamma_at_k, gamma_report_json
 from .monomials import ideal_from_json, summation_check
 from .rationals import rat, rat_str
-from .verification import run_all
+from .verification import df_with_escalation, run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,17 +91,7 @@ def cmd_gamma(args):
 
 def cmd_df(args):
     flag = flag_from_json(_read_json_file(args.flag))
-    s = rat(args.s)
-    multipliers = DEFAULT_MULTIPLIERS
-    if args.k_max is not None:
-        # every multiplier m samples k*s >= m, which weight caps at MAX_KS
-        if args.k_max > MAX_KS:
-            raise SizeError(f"--k-max capped at {MAX_KS}")
-        multipliers += tuple(range(10, args.k_max + 1, 2))
-    report = donaldson_futaki(
-        flag, s, k_base=args.k_base, multipliers=multipliers
-    )
-    _emit(report.to_json(), args.format)
+    _emit(df_with_escalation(flag, rat(args.s)).to_json(), args.format)
     return EXIT_OK
 
 
@@ -190,10 +180,6 @@ def build_parser():
     p = sub.add_parser("df", help="Donaldson-Futaki invariant of a flag file")
     p.add_argument("--flag", required=True, help="flag JSON ('-' for stdin)")
     p.add_argument("--s", default="1", help="blowup scale s as 'p/q'")
-    p.add_argument("--k-base", type=int, default=1, dest="k_base",
-                   help="extra divisibility forced on the sample grid")
-    p.add_argument("--k-max", type=int, dest="k_max",
-                   help="extend the sample grid up to this multiplier")
     add_format(p)
     p.set_defaults(func=cmd_df)
 
@@ -220,10 +206,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SizeError, GridTooShortError, InconclusiveError) as exc:
-        hint = ""
-        if isinstance(exc, GridTooShortError):
-            hint = " (increase --k-max or --k-base)"
-        print(f"limit reached: {exc}{hint}", file=sys.stderr)
+        print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 
 

@@ -11,12 +11,14 @@ on exact integers and rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, SizeError
+from .errors import GridTooShortError, InputError, SizeError
 from .polynomials import SampleGrid, UniPoly, df_coefficient, stabilized_fit
 from .rationals import rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
-# weight's cap on k*s: blind escalation at s = 1 reaches base 60 times multiplier 8
+# an accepted fit must also reproduce w at these multiples of the base
+REFINE_MULTIPLIERS = (10, 12)
+# weight's cap on k*s: escalation at s = 1 reaches base 40 times refinement 12
 MAX_KS = 480
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
@@ -124,27 +126,25 @@ class TildeFamily:
     divisors: tuple
 
 
-def _minplus_power(cost, ks):
-    """ks-fold (min,+) convolution power of a cost vector.
+def _minplus_power(costs, counts):
+    """(min,+) convolution powers of cost vectors, one part at a time.
 
-    cost[t] is the price of a part of size t (cost[0] = 0); the
-    result at j is the cheapest way to write j as a sum of ks parts
-    of sizes 0..M.
+    costs[p][t] is the price at point p of a part of size t (0 for
+    t = 0).  For each n of the increasing counts, yields one row per
+    point whose entry j is the cheapest way to write j as n parts.
     """
-    m = len(cost) - 1
-    cur = [0]
-    for _ in range(ks):
-        rows = []
-        pad_total = m
-        for t, ct in enumerate(cost):
-            rows.append(
-                [_INF] * t + [x + ct for x in cur] + [_INF] * (pad_total - t)
-            )
-        cur = list(map(min, *rows))
-    return cur
-
-
-_tilde_cache = {}
+    rows, done = [[0] for _ in costs], 0
+    for n in counts:
+        for _ in range(done, n):
+            rows = [
+                list(map(min, *(
+                    [_INF] * t + [x + ct for x in row] + [_INF] * (len(cost) - 1 - t)
+                    for t, ct in enumerate(cost)
+                )))
+                for row, cost in zip(rows, costs)
+            ]
+        done = n
+        yield rows
 
 
 def tilde_divisors(flag, ks):
@@ -159,43 +159,40 @@ def tilde_divisors(flag, ks):
     if ks < 1:
         raise InputError("ks must be >= 1")
     labels = flag.points()
-    per_point = {}
-    for label in labels:
-        cost = tuple(d.at(label) for d in flag.divisors)
-        key = ((0,) + cost, ks)
-        if key not in _tilde_cache:
-            _tilde_cache[key] = _minplus_power([0] + list(cost), ks)
-        per_point[label] = _tilde_cache[key]
-    length = flag.M * ks + 1
-    divisors = []
-    for j in range(length):
-        divisors.append(
-            PointDivisor({label: per_point[label][j] for label in labels})
-        )
-    return TildeFamily(ks=ks, divisors=tuple(divisors))
+    costs = [[0] + [d.at(label) for d in flag.divisors] for label in labels]
+    columns = zip(*next(_minplus_power(costs, [ks])))
+    divisors = tuple(PointDivisor(dict(zip(labels, col))) for col in columns)
+    return TildeFamily(ks=ks, divisors=divisors)
+
+
+def _weights(flag, s, ks):
+    """Lazy total weights w(k) for the increasing k in ks, from one sweep.
+
+    dim F_j = h^0(P^1, O(2k)(-tilde_D_j)) = max(0, N - deg_j) with
+    N = 2k + 1, and w = sum_{j=1..M*ks} dim F_j - N*M*ks, so
+    w(k) = -sum_{j=1..M*ks} min(N, deg_j) with deg_j the sum of the
+    per-point min-plus rows at j (row[0] = 0 adds nothing).
+    """
+    s = rat(s)
+    counts = []
+    for k in ks:
+        if k < 1:
+            raise InputError("k must be >= 1")
+        n = k * s
+        if n.denominator != 1 or n < 1:
+            raise InputError(f"k*s must be a positive integer (got {rat_str(n)})")
+        if n > MAX_KS:
+            raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
+        counts.append(int(n))
+    costs = [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
+    for k, rows in zip(ks, _minplus_power(costs, counts)):
+        N = 2 * k + 1
+        yield -sum(min(N, sum(column)) for column in zip(*rows))
 
 
 def weight(flag, k, s):
-    """Total weight w(k) from the filtration dimension count.
-
-    dim F_j = h^0(P^1, O(2k)(-tilde_D_j)) = max(0, 2k + 1 - deg),
-    m = sum of the dims for j = 1 .. M*ks, and w = m - N*M*ks.
-    """
-    s = rat(s)
-    if k < 1:
-        raise InputError("k must be >= 1")
-    ks = k * s
-    if ks.denominator != 1 or ks < 1:
-        raise InputError(f"k*s must be a positive integer (got {rat_str(ks)})")
-    if ks > MAX_KS:
-        raise SizeError(f"k*s capped at {MAX_KS} (got {ks})")
-    ks = int(ks)
-    family = tilde_divisors(flag, ks)
-    N = 2 * k + 1
-    m = sum(
-        max(0, N - d.degree) for d in family.divisors[1:]
-    )
-    return m - N * flag.M * ks
+    """Total weight w(k) from the filtration dimension count."""
+    return next(_weights(flag, s, [k]))
 
 
 @dataclass(frozen=True)
@@ -226,28 +223,33 @@ class DFReport:
         }
 
 
-def donaldson_futaki(flag, s, k_base=1, multipliers=DEFAULT_MULTIPLIERS):
+def donaldson_futaki(flag, s, k_base=1):
     """Donaldson-Futaki invariant of the flag configuration.
 
-    Samples w on the grid k = k_base * den(s) * multipliers, fits a
-    degree <= 2 polynomial with stabilization detection, and extracts
-    DF as the bilinear coefficient against N_k = 2k + 1.  DF0 carries
-    the curve normalization 2*(2!)^2 / deg(-K) = 4, and the leading
-    coefficient doubles as the inferred top self-intersection of the
-    polarization.  Semiampleness of the polarization is not checked;
-    the report says so explicitly.
+    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = k_base * den(s),
+    fits a degree <= 2 polynomial with stabilization detection, and
+    raises GridTooShortError unless the fit also reproduces w at
+    k0 * REFINE_MULTIPLIERS (same sweep, kept out of the report).  DF
+    is the bilinear coefficient against N_k = 2k + 1, DF0 carries the
+    curve normalization 2*(2!)^2 / deg(-K) = 4, and the leading
+    coefficient doubles as the inferred (Lbar^2).  Semiampleness of
+    the polarization is not checked; the report says so explicitly.
     """
     s = rat(s)
     if s <= 0:
         raise InputError("s must be a positive rational")
     if k_base < 1:
         raise InputError("k_base must be >= 1")
-    if len(multipliers) < 5:
-        raise InputError("grid needs at least 5 points")
     k0 = k_base * s.denominator
-    ks = sorted(k0 * m for m in set(multipliers))
-    grid = SampleGrid([(k, Fraction(weight(flag, k, s))) for k in ks], base=k0)
+    ks = [k0 * m for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS]
+    weights = _weights(flag, s, ks)
+    grid = SampleGrid(
+        [(k0 * m, Fraction(next(weights))) for m in DEFAULT_MULTIPLIERS], base=k0
+    )
     w_poly, onset = stabilized_fit(grid, 2)
+    for m, w in zip(REFINE_MULTIPLIERS, weights):
+        if w_poly(k0 * m) != w:
+            raise GridTooShortError(f"refinement misses w({k0 * m})", largest_k=k0 * m)
     df = df_coefficient(w_poly, N_POLY, 1)
     return DFReport(
         s=s,

@@ -21,6 +21,7 @@ from .rationals import rat, rat_str
 
 MAX_ARITY = 4
 MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
+MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 
 
 def _minimalize(gens):
@@ -416,7 +417,10 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     def rhs_at(D):
         gens = set()
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
-        for split in _compositions(c.numerator * D // c.denominator, len(parts)):
+        units = c.numerator * D // c.denominator
+        if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
+            raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
+        for split in _compositions(units, len(parts)):
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]

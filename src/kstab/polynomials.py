@@ -156,9 +156,9 @@ def _divided_differences(entries):
 def stabilized_fit(samples, degree_bound):
     """Fit a degree <= degree_bound polynomial to the tail of a grid.
 
-    The grid is accepted only if the trailing (degree_bound+1)-th
-    divided differences vanish on the last two windows; this
-    distinguishes genuine polynomial behavior from coincidence.
+    The fit interpolates the last degree_bound+1 samples and is
+    accepted only if it also reproduces the two samples before them;
+    this distinguishes genuine polynomial behavior from coincidence.
     Returns (poly, onset_k) where onset_k is the smallest grid k from
     which the fit agrees with every later sample.
     """
@@ -170,23 +170,21 @@ def stabilized_fit(samples, degree_bound):
             f"need at least {degree_bound + 3} samples for degree bound {degree_bound}"
         )
     entries = grid.entries
-    width = degree_bound + 2
-    windows = [entries[i:i + width] for i in range(len(entries) - width + 1)]
-    tail_ok = all(
-        _divided_differences(win)[-1] == 0 for win in windows[-2:]
-    )
-    if not tail_ok:
-        raise GridTooShortError(
-            "no stabilization within the grid "
-            f"(largest k tried: {entries[-1][0]})",
-            largest_k=entries[-1][0],
-        )
     poly = interpolate(entries[-(degree_bound + 1):])
     onset = entries[-1][0]
     for k, v in reversed(entries):
         if poly(k) != v:
             break
         onset = k
+    # Same test as vanishing (d+1)-th differences on the last two windows
+    # of d+2 samples: the last window's vanish iff poly passes its first
+    # sample; poly then fits all but the first of the one before, likewise.
+    if onset > entries[-(degree_bound + 3)][0]:
+        raise GridTooShortError(
+            "no stabilization within the grid "
+            f"(largest k tried: {entries[-1][0]})",
+            largest_k=entries[-1][0],
+        )
     return poly, onset
 
 

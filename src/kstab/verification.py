@@ -54,19 +54,21 @@ FAT_POINT_EXPECTED = [
 
 # a flag whose weight is quasi-polynomial of period P stabilizes
 # exactly when P divides the grid base, so escalation walks through
-# small bases directly (cheap failures) instead of huge composites
-ESCALATION_BASES = tuple(range(1, 31)) + (36, 40, 42, 48, 60)
+# small bases directly (cheap failures) instead of huge composites,
+# up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
+ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
 
 
-def df_with_escalation(flag, s=1, bases=ESCALATION_BASES):
+def df_with_escalation(flag, s=1):
     """Retry the DF fit with increasing grid divisibility.
 
     The weight is only eventually polynomial along sufficiently
-    divisible k; escalating the base divisibility until the fit
-    stabilizes makes that quantifier concrete.
+    divisible k; escalating the base until a fit stabilizes and
+    passes its refinement check makes that quantifier concrete.  A
+    base that needs k*s > MAX_KS ends the walk with SizeError.
     """
     last = None
-    for base in bases:
+    for base in ESCALATION_BASES:
         try:
             return donaldson_futaki(flag, s, k_base=base)
         except GridTooShortError as exc:

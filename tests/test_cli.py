@@ -137,23 +137,34 @@ def test_df_trivial_flag(tmp_path):
     assert "isomorphism" in proc.stderr
 
 
-def test_df_unstabilized_grid_exits_3(tmp_path):
+def test_df_period_nine_flag_escalates(tmp_path):
+    # the default grid mixes residue classes of this flag's weight; the
+    # command escalates the grid base until 9 divides it
     path = tmp_path / "period9.json"
     path.write_text(
         json.dumps(
             {"divisors": [{"p": 2, "q": 2, "r": 2}, {"p": 4, "q": 2, "r": 3}]}
         )
     )
-    proc = run_cli("df", "--flag", str(path))
-    assert proc.returncode == 3
-    assert "--k-base" in proc.stderr
-    data = run_json("df", "--flag", str(path), "--k-base", "9")
+    data = run_json("df", "--flag", str(path))
     assert data["w_poly"] == ["0", "-26/9", "-32/9"]
 
 
-@pytest.mark.parametrize("option", ["--k-max", "--k-base"])
-def test_df_sample_size_cap_exits_3(point_flag, option):
-    proc = run_cli("df", "--flag", point_flag, option, "100000000")
+def test_df_refines_a_coincidental_fit(tmp_path):
+    # base 1 passes the grid test with DF0 = -2, but that fit gives
+    # w(10) = -579 against the counted -577; base 5 reproduces every
+    # multiple of 5 up to k*s = 480
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({"divisors": [
+        {"p": 2, "q": 1, "r": 2}, {"p": 2, "q": 2, "r": 3}, {"p": 3, "q": 3, "r": 4},
+    ]}))
+    data = run_json("df", "--flag", str(path))
+    assert data["DF0"] == "36/5"
+    assert data["k_grid"][0]["k"] == 10
+
+
+def test_df_sample_size_cap_exits_3(point_flag):
+    proc = run_cli("df", "--flag", point_flag, "--s", "481")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "limit reached" in proc.stderr
@@ -295,3 +306,25 @@ def test_unreadable_file_is_an_input_error(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error:")
         assert "Traceback" not in proc.stderr
+
+
+def test_check_summation_split_cap_exits_3(tmp_path):
+    # c = 40 over four parts is C(43, 3) = 12,341 splittings at D = 1
+    path = tmp_path / "splits.json"
+    path.write_text(
+        json.dumps(
+            {
+                "a0": {"n": 2, "generators": [[0, 0]]},
+                "parts": [
+                    {"n": 2, "generators": [g]}
+                    for g in ([2, 1], [1, 2], [3, 0], [0, 3])
+                ],
+                "c": 40,
+            }
+        )
+    )
+    proc = run_cli("check-summation", "--file", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "splittings" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -142,6 +142,41 @@ def test_stabilized_fit_rejects_cubic_growth():
     assert err.value.largest_k == 6
 
 
+def _last_difference(window):
+    """Top divided difference of a window of (k, value) samples."""
+    xs = [k for k, _ in window]
+    table = [v for _, v in window]
+    for order in range(1, len(window)):
+        table = [
+            (table[i + 1] - table[i]) / (xs[i + order] - xs[i])
+            for i in range(len(table) - 1)
+        ]
+    return table[0]
+
+
+def test_stabilized_fit_matches_window_criterion():
+    # reference: accept iff the (d+1)-th divided differences vanish on
+    # the last two windows of d+2 samples, then fit the last d+1
+    rng = random.Random("window-criterion")
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        ks = sorted(rng.sample(range(1, 40), rng.randint(d + 3, d + 6)))
+        coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d + 1)]
+        samples = [(k, UniPoly(coeffs)(k)) for k in ks]
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(samples))
+            samples[i] = (samples[i][0], samples[i][1] + rng.choice([-1, 1]))
+        tail = samples[-(d + 3):]
+        accept = _last_difference(tail[:-1]) == 0 == _last_difference(tail[1:])
+        if accept:
+            poly, onset = stabilized_fit(samples, d)
+            assert poly == interpolate(samples[-(d + 1):])
+            assert all(poly(k) == v for k, v in samples if k >= onset)
+        else:
+            with pytest.raises(GridTooShortError):
+                stabilized_fit(samples, d)
+
+
 def test_stabilized_fit_needs_enough_samples():
     with pytest.raises(InputError):
         stabilized_fit([(k, F(0)) for k in range(1, 5)], 2)
