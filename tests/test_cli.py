@@ -163,8 +163,11 @@ def test_df_refines_a_coincidental_fit(tmp_path):
     assert data["k_grid"][0]["k"] == 10
 
 
-def test_df_sample_size_cap_exits_3(point_flag):
-    proc = run_cli("df", "--flag", point_flag, "--s", "481")
+@pytest.mark.parametrize("s", ["481", "961/2"], ids=["integer", "fractional"])
+def test_df_scale_cap_exits_3(point_flag, s):
+    # the first sample already needs k*s > MAX_KS = 480; a fractional s
+    # samples at multiples of den(s), so 961/2 hits the cap at k = 2
+    proc = run_cli("df", "--flag", point_flag, "--s", s)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "limit reached" in proc.stderr
