@@ -3,8 +3,10 @@
 Multiplier ideals of monomial data have a purely combinatorial
 description: a monomial x^v belongs to the multiplier ideal of
 a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
-of the weighted Minkowski sum of the Newton polyhedra.  Scaled by
-the lcm of the weight denominators, that test runs in integers, one
+of the weighted Minkowski sum of the Newton polyhedra.  The facet
+normals of that sum depend only on which ideals carry a positive
+weight, so they are computed once per support set.  Scaled by the
+lcm of the weight denominators, the test runs in integers, one
 closed-form staircase step per prefix of a bounded box.  That makes
 this module an exact, independent oracle for the multiplier-ideal
 laws used elsewhere, including the summation formula over rational
@@ -78,9 +80,6 @@ class MonomialIdeal:
 
     def is_unit(self):
         return (0,) * self.arity in self.generators
-
-    def contains_vector(self, v):
-        return any(all(a >= b for a, b in zip(v, g)) for g in self.generators)
 
     def issubset(self, other):
         return self + other == other
@@ -172,73 +171,68 @@ class NewtonPolyhedron:
     inequalities: tuple
 
 
-def _small_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[r[i] for i in range(n) if i != j] for r in rows[1:]]
-        term = rows[0][j] * _small_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+def _cross(vectors):
+    """Integer vector orthogonal to d - 1 vectors in Z^d.
 
-
-def _cross_normal(directions, n):
-    """Integer vector orthogonal to n-1 direction vectors in Z^n."""
-    normal = []
-    for i in range(n):
-        minor = [[d[j] for j in range(n) if j != i] for d in directions]
-        c = _small_det(minor)
-        normal.append(c if i % 2 == 0 else -c)
-    return tuple(normal)
+    Entry i is (-1)^i times the minor without column i, so that
+    det([r] + vectors) = <r, _cross(vectors)> for every row r.
+    """
+    d = len(vectors) + 1
+    if d == 1:
+        return (1,)
+    if d == 2:
+        ((u, v),) = vectors
+        return (v, -u)
+    if d == 3:
+        (a, b, c), (x, y, z) = vectors
+        return (b * z - c * y, c * x - a * z, a * y - b * x)
+    minors = [[v[:i] + v[i + 1:] for v in vectors] for i in range(d)]
+    return tuple(
+        (-1) ** i * sum(x * y for x, y in zip(m[0], _cross(m[1:])))
+        for i, m in enumerate(minors)
+    )
 
 
 def hull_inequalities(points, n):
     """Facets of conv(points) + orthant with positive offset.
 
     Points are integer vectors; each facet is a primitive integer pair
-    (normal, offset) meaning <normal, x> >= offset.  Candidate normals
-    come from all ways to span a hyperplane by point differences and
-    coordinate rays; each surviving candidate must be componentwise
-    nonnegative and valid on every point.  Coordinate bounds x_i >= 0
-    are not included here.
+    (normal, offset) meaning <normal, x> >= offset.  Coordinate bounds
+    x_i >= 0 are not included here.
+
+    Such a facet's normal a is >= 0; let F = supp(a).  The facet holds
+    the rays e_i for i outside F, so its points projected onto the
+    coordinates F span a hyperplane there, and each is a minimal
+    projection: one dominated by another would sit strictly below the
+    facet, as every a_i with i in F is positive.  So for each free set
+    F the candidates are the |F|-dimensional cross products of the
+    differences of |F| distinct minimal projections, kept when every
+    entry is nonzero with one sign.  A candidate is a facet when its
+    |F| points attain the least value of <a, .> over all the points,
+    and that value is positive.
     """
     if not points:
         raise InputError("hull needs at least one point")
-    # dominated points are interior to q + orthant
-    pts = sorted(_minimalize(points))
-
-    candidates = set()
+    facets = set()
     for d in range(1, n + 1):
-        for subset in combinations(pts, d):
-            base = subset[0]
-            diffs = [tuple(a - b for a, b in zip(p, base)) for p in subset[1:]]
-            for rays in combinations(range(n), n - d):
-                dirs = diffs + [
-                    tuple(1 if j == i else 0 for j in range(n)) for i in rays
-                ]
-                normal = _cross_normal(dirs, n)
-                if all(x <= 0 for x in normal):
-                    normal = tuple(-x for x in normal)
-                if not any(normal) or any(x < 0 for x in normal):
+        for free in combinations(range(n), d):
+            proj = sorted(_minimalize(tuple(p[i] for i in free) for p in points))
+            low = {}  # candidate normal on F -> least value over the points
+            for base, *rest in combinations(proj, d):
+                normal = _cross([tuple(a - b for a, b in zip(p, base)) for p in rest])
+                if not (all(x > 0 for x in normal) or all(x < 0 for x in normal)):
                     continue
-                offset = sum(a * b for a, b in zip(normal, base))
-                if offset <= 0:
-                    continue
-                g = math.gcd(offset, *normal)
-                candidates.add((tuple(x // g for x in normal), offset // g))
-    return tuple(
-        (normal, offset)
-        for normal, offset in sorted(candidates)
-        if all(sum(a * b for a, b in zip(normal, p)) >= offset for p in pts)
-    )
+                g = math.gcd(*normal) if normal[0] > 0 else -math.gcd(*normal)
+                normal = tuple(x // g for x in normal)
+                b = low.get(normal)
+                if b is None:
+                    b = low[normal] = min(
+                        sum(x * y for x, y in zip(normal, p)) for p in proj
+                    )
+                if b > 0 and sum(x * y for x, y in zip(normal, base)) == b:
+                    lift = dict(zip(free, normal))
+                    facets.add((tuple(lift.get(i, 0) for i in range(n)), b))
+    return tuple(sorted(facets))
 
 
 def newton_polyhedron(ideal):
@@ -253,26 +247,43 @@ def newton_polyhedron(ideal):
     return NewtonPolyhedron(source=ideal, inequalities=coordinate + facets)
 
 
-def _weighted_points(factors, scale):
-    """Sums of one weighted generator per factor, scaled to integers.
-
-    scale clears every weight's denominator; conv of the points
-    sum_i (c_i * scale) * g_i plus the orthant is scale times the
-    weighted Minkowski sum of the factors' Newton polyhedra.
-    """
-    points = {(0,) * factors[0][0].arity}
-    for ideal, c in factors:
-        w = c.numerator * (scale // c.denominator)
-        # dominated combinations never support a facet
-        points = _minimalize(
-            tuple(x + w * g for x, g in zip(p, gen))
-            for p in points
-            for gen in ideal.generators
-        )
-    return sorted(points)
-
-
+CACHE_BOUND = 4096  # entries each module cache keeps; the oldest go first
+_normal_cache = {}
 _multiplier_cache = {}
+
+
+def _remember(cache, key, value, bound):
+    """Store key in a dict cache of at most bound entries, dropping the oldest."""
+    if len(cache) >= bound:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _support_normals(supports, n):
+    """Facet normals shared by every sum sum_i c_i * P(a_i) with all c_i > 0.
+
+    supports are the distinct sorted generator tuples of the a_i.  In
+    a direction a >= 0 the face of sum_i c_i * P_i is sum_i c_i * F_i(a),
+    where F_i(a) is the face of P_i on which <a, .> is least.  Its
+    direction space sum_i lin F_i(a) is the same for every c_i > 0, so
+    whether it is a facet does not depend on the c_i; nor does the
+    sign of its offset sum_i c_i * min_{g in a_i} <a, g>, which is
+    positive iff some minimum is.  So the primitive normals of the
+    facets with positive offset are those of the unit-weight sum, the
+    hull of the sums of one generator per ideal.  (A repeated ideal
+    adds nothing, as c * P + c' * P = (c + c') * P for convex P.)
+    """
+    normals = _normal_cache.get(supports)
+    if normals is None:
+        points = {(0,) * n}
+        for gens in supports:
+            # dominated sums never support a facet
+            points = _minimalize(
+                tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
+            )
+        normals = tuple(a for a, _ in hull_inequalities(sorted(points), n))
+        _remember(_normal_cache, supports, normals, CACHE_BOUND)
+    return normals
 
 
 def multiplier_ideal(prod):
@@ -281,10 +292,12 @@ def multiplier_ideal(prod):
     Membership: x^v is in the ideal iff v + (1,..,1) is interior to
     the weighted sum P of the Newton polyhedra, i.e. satisfies every
     H-inequality strictly (P is full-dimensional, so topological
-    interior is exactly strict inequality).  With the facets of
-    scale * P as primitive integer pairs (a, b), the condition
-    <a, v + 1> > b / scale reads <a, v> >= T in integers, where
-    T = b // scale + 1 - sum(a).
+    interior is exactly strict inequality).  The facets of scale * P
+    are primitive integer pairs (a, b): the normals a depend only on
+    the support set (_support_normals), and b is the support function
+    sum_i w_i * min_{g in a_i} <a, g> with w_i = c_i * scale.  The
+    condition <a, v + 1> > b / scale reads <a, v> >= T in integers,
+    where T = b // scale + 1 - sum(a).
 
     The scan box is safe: let corner_j = sum_i c_i * maxgen_{i,j} + 1.
     If v is a member with v_j >= corner_j, write the point
@@ -317,12 +330,7 @@ def multiplier_ideal(prod):
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
 
     # frozensets are only partially ordered, so sort their contents
-    key = tuple(
-        sorted(
-            (ideal.arity, tuple(sorted(ideal.generators)), c)
-            for ideal, c in factors
-        )
-    )
+    key = tuple(sorted((tuple(sorted(ideal.generators)), c) for ideal, c in factors))
     cached = _multiplier_cache.get(key)
     if cached is not None:
         return cached
@@ -341,7 +349,11 @@ def multiplier_ideal(prod):
         )
 
     flat, last = [], []
-    for a, b in hull_inequalities(_weighted_points(factors, scale), n):
+    for a in _support_normals(tuple(sorted({gens for gens, _ in key})), n):
+        b = sum(
+            w * min(sum(x * y for x, y in zip(a, g)) for g in ideal.generators)
+            for w, (ideal, _) in zip(weights, factors)
+        )
         t = b // scale + 1 - sum(a)
         (last if a[-1] else flat).append((a[:-1], a[-1], t))
 
@@ -363,7 +375,7 @@ def multiplier_ideal(prod):
     if not members:
         raise AssertionError("multiplier ideal of a finite product is nonzero")
     result = MonomialIdeal(n, members)
-    _multiplier_cache[key] = result
+    _remember(_multiplier_cache, key, result, CACHE_BOUND)
     return result
 
 

@@ -170,7 +170,9 @@ def stabilized_fit(samples, degree_bound):
             f"need at least {degree_bound + 3} samples for degree bound {degree_bound}"
         )
     entries = grid.entries
-    poly = interpolate(entries[-(degree_bound + 1):])
+    tail = entries[-(degree_bound + 1):]
+    # interpolate needs two samples; a constant fit is the last sample
+    poly = interpolate(tail) if degree_bound else UniPoly([tail[0][1]])
     onset = entries[-1][0]
     for k, v in reversed(entries):
         if poly(k) != v:

@@ -30,6 +30,7 @@ from .gamma import (
 )
 from .monomials import (
     MonomialIdeal,
+    _remember,
     law_checks,
     lct_monomial,
     multiplier_ideal,
@@ -183,6 +184,7 @@ def check_df_closed_forms(quick=False, **_):
     return True, f"{len(FAT_POINT_EXPECTED)} fat-point families match closed forms"
 
 
+DF_REPORT_CACHE_BOUND = 8  # corpora whose reports are kept
 _df_report_cache = {}
 
 
@@ -194,9 +196,11 @@ def _df_corpus(seed, quick):
 def _df_corpus_reports(seed, quick):
     corpus = _df_corpus(seed, quick)
     key = (seed, len(corpus))
-    if key not in _df_report_cache:
-        _df_report_cache[key] = [df_with_escalation(f, 1) for f in corpus]
-    return corpus, _df_report_cache[key]
+    reports = _df_report_cache.get(key)
+    if reports is None:
+        reports = [df_with_escalation(f, 1) for f in corpus]
+        _remember(_df_report_cache, key, reports, DF_REPORT_CACHE_BOUND)
+    return corpus, reports
 
 
 def check_weight_sign_and_fit(quick=False, seed=42, **_):

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from kstab.verification import CRITERIA, check_braid_lct
+from kstab import verification
+from kstab.verification import CRITERIA, DF_REPORT_CACHE_BOUND, check_braid_lct
 
 SEED = 42
 
@@ -27,3 +28,14 @@ def test_braid_criterion_runtime_budget():
     ok, detail = check_braid_lct(quick=False, seed=SEED)
     assert ok, detail
     assert time.monotonic() - start < 10.0
+
+
+def test_df_report_cache_stays_within_its_bound(monkeypatch):
+    # the reports themselves do not matter here, only how many are kept
+    monkeypatch.setattr(verification, "_df_report_cache", {})
+    monkeypatch.setattr(verification, "df_with_escalation", lambda flag, s: flag)
+    for seed in range(DF_REPORT_CACHE_BOUND + 3):
+        corpus, reports = verification._df_corpus_reports(seed, quick=True)
+        assert reports == corpus
+        assert len(verification._df_report_cache) <= DF_REPORT_CACHE_BOUND
+    assert verification._df_corpus_reports(seed, quick=True)[1] is reports

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,12 +17,17 @@ from kstab import (
     newton_polyhedron,
     summation_check,
 )
+from kstab import monomials
 from kstab.errors import InconclusiveError
-from kstab.monomials import _multiplier_cache, hull_inequalities, ideal_from_json
+from kstab.monomials import _support_normals, hull_inequalities, ideal_from_json
 
 F = Fraction
 
 XY = MonomialIdeal(2, [(1, 0), (0, 1)])
+
+
+def contains(ideal, v):
+    return any(all(a >= b for a, b in zip(v, g)) for g in ideal.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +42,9 @@ def test_generators_are_minimalized():
 def test_unit_and_membership():
     unit = MonomialIdeal.unit(3)
     assert unit.is_unit()
-    assert unit.contains_vector((0, 0, 0))
-    assert not XY.contains_vector((0, 0))
-    assert XY.contains_vector((0, 5))
+    assert contains(unit, (0, 0, 0))
+    assert not contains(XY, (0, 0))
+    assert contains(XY, (0, 5))
 
 
 def test_sum_product_power():
@@ -117,6 +122,65 @@ def test_polyhedron_valid_and_tight_on_generators():
             assert offset == 0 or min(values) == offset
 
 
+def _det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def reference_hull(points, n):
+    """Facets of conv(points) + orthant with positive offset, by full search.
+
+    After dropping dominated points, every way to span a hyperplane in
+    Z^n by differences of d points and n - d coordinate rays gives a
+    candidate normal (an n x n cofactor expansion); the nonnegative
+    ones valid on every point with positive offset are the facets.
+    """
+    pts = sorted(
+        {
+            p
+            for p in points
+            if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in points)
+        }
+    )
+    candidates = set()
+    for d in range(1, n + 1):
+        for base, *rest in combinations(pts, d):
+            diffs = [tuple(a - b for a, b in zip(p, base)) for p in rest]
+            for rays in combinations(range(n), n - d):
+                dirs = diffs + [tuple(int(j == i) for j in range(n)) for i in rays]
+                normal = tuple(
+                    (-1) ** i * _det([v[:i] + v[i + 1:] for v in dirs])
+                    for i in range(n)
+                )
+                if all(x <= 0 for x in normal):
+                    normal = tuple(-x for x in normal)
+                offset = sum(a * b for a, b in zip(normal, base))
+                if any(x < 0 for x in normal) or offset <= 0:
+                    continue
+                g = math.gcd(*normal)
+                candidates.add((tuple(x // g for x in normal), offset // g))
+    return tuple(
+        (normal, offset)
+        for normal, offset in sorted(candidates)
+        if all(sum(a * b for a, b in zip(normal, p)) >= offset for p in pts)
+    )
+
+
+def test_projected_kernel_matches_full_search():
+    rng = random.Random("projected-kernel")
+    for i in range(600):
+        n = 1 + i % 4
+        points = [
+            tuple(rng.randint(0, 6) for _ in range(n))
+            for _ in range(rng.randint(1, 8))
+        ]
+        assert hull_inequalities(points, n) == reference_hull(points, n), points
+
+
 # ---------------------------------------------------------------------------
 # multiplier ideals
 
@@ -160,6 +224,19 @@ def test_multiplier_monotone_in_exponent():
         assert bigger.issubset(smaller)
 
 
+def weighted_points(factors, scale):
+    """The sums of one generator per factor, each times c * scale.
+
+    Their hull plus the orthant is scale times the weighted sum of the
+    factors' Newton polyhedra: the per-product facet path.
+    """
+    weighted = [[(c * scale, g) for g in a.generators] for a, c in factors]
+    return [
+        tuple(int(sum(w * g[j] for w, g in combo)) for j in range(len(combo[0][1])))
+        for combo in product(*weighted)
+    ]
+
+
 def box_scan(factors):
     """Reference multiplier ideal: scan the whole corner box in order.
 
@@ -172,12 +249,9 @@ def box_scan(factors):
     if not factors:
         return MonomialIdeal.unit(n)
     scale = math.lcm(*(c.denominator for _, c in factors))
-    weighted = [[(c * scale, g) for g in a.generators] for a, c in factors]
-    points = [
-        tuple(int(sum(w * g[j] for w, g in combo)) for j in range(n))
-        for combo in product(*weighted)
+    facets = [
+        (a, F(b, scale)) for a, b in reference_hull(weighted_points(factors, scale), n)
     ]
-    facets = [(a, F(b, scale)) for a, b in hull_inequalities(points, n)]
     corner = [
         int(sum(c * max(g[j] for g in a.generators) for a, c in factors)) + 1
         for j in range(n)
@@ -193,30 +267,80 @@ def box_scan(factors):
     return MonomialIdeal(n, members)
 
 
+def random_product(rng, n):
+    """1-3 factors of 1-3 generators with weights p/q, p <= 2q <= 12."""
+    max_exp = {1: 6, 2: 4, 3: 3, 4: 2}[n]
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        gens = [
+            tuple(rng.randint(0, max_exp) for _ in range(n))
+            for _ in range(rng.randint(1, 3))
+        ]
+        q = rng.randint(1, 6)
+        factors.append((MonomialIdeal(n, gens), F(rng.randint(0, 2 * q), q)))
+    return factors
+
+
 def test_staircase_matches_box_scan():
     rng = random.Random("staircase")
-    max_exp = {1: 6, 2: 4, 3: 3, 4: 2}
     for i in range(300):
-        n = 1 + i % 4
-        factors = []
-        for _ in range(rng.randint(1, 3)):
-            gens = [
-                tuple(rng.randint(0, max_exp[n]) for _ in range(n))
-                for _ in range(rng.randint(1, 3))
-            ]
-            q = rng.randint(1, 6)
-            factors.append((MonomialIdeal(n, gens), F(rng.randint(0, 2 * q), q)))
+        factors = random_product(rng, 1 + i % 4)
         assert multiplier_ideal(factors) == box_scan(factors), factors
 
 
-def test_multiplier_cache_ignores_factor_order():
+def test_support_normals_give_every_weighted_facet():
+    # the unit-weight normals of the support set, with offsets from the
+    # support function, are exactly the facets of the weighted-point hull
+    rng = random.Random("support-normals")
+    zero_weights = 0
+    for i in range(300):
+        n = 1 + i % 4
+        factors = random_product(rng, n)
+        live = [(a, c) for a, c in factors if c]
+        zero_weights += len(live) < len(factors)
+        if not live:
+            continue
+        scale = math.lcm(*(c.denominator for _, c in live))
+        supports = tuple(sorted({tuple(sorted(a.generators)) for a, _ in live}))
+        support = tuple(
+            (
+                normal,
+                sum(
+                    int(c * scale)
+                    * min(sum(x * y for x, y in zip(normal, g)) for g in a.generators)
+                    for a, c in live
+                ),
+            )
+            for normal in _support_normals(supports, n)
+        )
+        expected = reference_hull(weighted_points(live, scale), n)
+        assert sorted(support) == list(expected), factors
+    assert zero_weights > 0
+
+
+def test_multiplier_cache_ignores_factor_order(monkeypatch):
+    monkeypatch.setattr(monomials, "_multiplier_cache", {})
     a = MonomialIdeal(2, [(2, 0), (0, 1)])
     b = MonomialIdeal(2, [(1, 0), (0, 2)])
-    before = len(_multiplier_cache)
     first = multiplier_ideal([(a, F(1)), (b, F(1))])
     second = multiplier_ideal([(b, F(1)), (a, F(1))])
-    assert len(_multiplier_cache) - before == 1
+    assert len(monomials._multiplier_cache) == 1
     assert second is first
+
+
+def test_caches_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(monomials, "CACHE_BOUND", 5)
+    monkeypatch.setattr(monomials, "_multiplier_cache", {})
+    monkeypatch.setattr(monomials, "_normal_cache", {})
+    results = []
+    for e in range(1, 13):  # twelve products on twelve support sets
+        results.append(multiplier_ideal([(MonomialIdeal(2, [(e, 0), (0, 1)]), F(1))]))
+        assert len(monomials._multiplier_cache) <= 5
+        assert len(monomials._normal_cache) <= 5
+    newest = multiplier_ideal([(MonomialIdeal(2, [(12, 0), (0, 1)]), F(1))])
+    oldest = multiplier_ideal([(MonomialIdeal(2, [(1, 0), (0, 1)]), F(1))])
+    assert newest is results[-1]
+    assert oldest == results[0] and oldest is not results[0]
 
 
 def test_multiplier_output_is_upward_closed():
@@ -227,8 +351,8 @@ def test_multiplier_output_is_upward_closed():
         )
         ideal = multiplier_ideal([(a, F(rng.randint(1, 5), 2))])
         for g in ideal.generators:
-            assert ideal.contains_vector((g[0] + 1, g[1]))
-            assert ideal.contains_vector((g[0], g[1] + 1))
+            assert contains(ideal, (g[0] + 1, g[1]))
+            assert contains(ideal, (g[0], g[1] + 1))
 
 
 # ---------------------------------------------------------------------------

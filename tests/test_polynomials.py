@@ -125,6 +125,15 @@ def test_stabilized_fit_constant_data():
     assert onset == 1
 
 
+def test_stabilized_fit_degree_zero():
+    # a constant fit rests on one sample, fewer than interpolate accepts
+    assert stabilized_fit([(k, 5) for k in range(1, 6)], 0) == (UniPoly([5]), 1)
+    samples = [(1, 3), (2, 4), (3, 5), (4, 5), (5, 5)]
+    assert stabilized_fit(samples, 0) == (UniPoly([5]), 3)
+    with pytest.raises(GridTooShortError):
+        stabilized_fit(samples[:2] + [(3, 4)] + samples[3:], 0)
+
+
 def test_stabilized_fit_transient_head():
     # polynomial only from k = 4 onward: onset must skip the head
     samples = [(1, F(100)), (2, F(200)), (3, F(5))] + [
