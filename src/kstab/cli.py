@@ -57,7 +57,11 @@ def _render_text(payload, prefix=""):
                 yield f"{prefix}{key}: {value}"
     elif isinstance(payload, list):
         for value in payload:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, list) and not any(
+                isinstance(v, (dict, list)) for v in value
+            ):
+                yield f"{prefix}- [{', '.join(map(str, value))}]"
+            elif isinstance(value, (dict, list)):
                 yield from _render_text(value, prefix + "  ")
             else:
                 yield f"{prefix}- {value}"

@@ -4,12 +4,16 @@ A flag of ideals on P^1 is a pointwise-increasing chain of effective
 divisors.  Raising the associated ideal on the product with the
 affine line to the power ks produces a filtration whose dimension
 count gives the total weight w(k); the Donaldson-Futaki invariant is
-then read off the degree-2 weight polynomial.  Everything here runs
-on exact integers and rationals.
+then read off the degree-2 weight polynomial.  The ks-th power is
+built one part at a time, so one forward min-plus sweep per (flag, s)
+serves every k a call samples: each grid base an escalation tries and
+its refinement check.  Everything here runs on exact integers and
+rationals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import GridTooShortError, InputError, SizeError
 from .polynomials import SampleGrid, UniPoly, df_coefficient, stabilized_fit
@@ -126,25 +130,24 @@ class TildeFamily:
     divisors: tuple
 
 
-def _minplus_power(costs, counts):
-    """(min,+) convolution powers of cost vectors, one part at a time.
+def _point_costs(flag):
+    """costs[p][t]: the price at point p of a part of size t (0 for t = 0)."""
+    return [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
 
-    costs[p][t] is the price at point p of a part of size t (0 for
-    t = 0).  For each n of the increasing counts, yields one row per
-    point whose entry j is the cheapest way to write j as n parts.
+
+def _minplus_step(costs, rows):
+    """One more part at every point, by (min,+) convolution with its costs.
+
+    If entry j of rows[p] is the cheapest way to write j as n parts
+    priced by costs[p], the returned rows hold the same for n + 1.
     """
-    rows, done = [[0] for _ in costs], 0
-    for n in counts:
-        for _ in range(done, n):
-            rows = [
-                list(map(min, *(
-                    [_INF] * t + [x + ct for x in row] + [_INF] * (len(cost) - 1 - t)
-                    for t, ct in enumerate(cost)
-                )))
-                for row, cost in zip(rows, costs)
-            ]
-        done = n
-        yield rows
+    return [
+        list(map(min, *(
+            [_INF] * t + [x + ct for x in row] + [_INF] * (len(cost) - 1 - t)
+            for t, ct in enumerate(cost)
+        )))
+        for row, cost in zip(rows, costs)
+    ]
 
 
 def tilde_divisors(flag, ks):
@@ -158,41 +161,67 @@ def tilde_divisors(flag, ks):
     """
     if ks < 1:
         raise InputError("ks must be >= 1")
+    costs = _point_costs(flag)
+    rows = [[0] for _ in costs]
+    for _ in range(ks):
+        rows = _minplus_step(costs, rows)
     labels = flag.points()
-    costs = [[0] + [d.at(label) for d in flag.divisors] for label in labels]
-    columns = zip(*next(_minplus_power(costs, [ks])))
-    divisors = tuple(PointDivisor(dict(zip(labels, col))) for col in columns)
+    divisors = tuple(PointDivisor(dict(zip(labels, col))) for col in zip(*rows))
     return TildeFamily(ks=ks, divisors=divisors)
 
 
-def _weights(flag, s, ks):
-    """Lazy total weights w(k) for the increasing k in ks, from one sweep.
+def _parts(k, s):
+    """The part count n = k*s behind w(k), checked against MAX_KS."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    n, rest = divmod(k * s.numerator, s.denominator)
+    if rest or n < 1:
+        raise InputError(f"k*s must be a positive integer (got {rat_str(k * s)})")
+    if n > MAX_KS:
+        raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
+    return n
+
+
+class _Sweep:
+    """Total weights w(k) of one flag at one s, from one forward sweep.
 
     dim F_j = h^0(P^1, O(2k)(-tilde_D_j)) = max(0, N - deg_j) with
     N = 2k + 1, and w = sum_{j=1..M*ks} dim F_j - N*M*ks, so
     w(k) = -sum_{j=1..M*ks} min(N, deg_j) with deg_j the sum of the
-    per-point min-plus rows at j (row[0] = 0 adds nothing).
+    per-point min-plus rows at j after ks parts (row[0] = 0 adds
+    nothing).  The rows only ever gain parts: passing n = k*s records
+    w(k) for every integral k on the way, so a later query at a
+    smaller k is a lookup and a larger one resumes from the last row.
     """
-    s = rat(s)
-    counts = []
-    for k in ks:
-        if k < 1:
-            raise InputError("k must be >= 1")
-        n = k * s
-        if n.denominator != 1 or n < 1:
-            raise InputError(f"k*s must be a positive integer (got {rat_str(n)})")
-        if n > MAX_KS:
-            raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
-        counts.append(int(n))
-    costs = [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
-    for k, rows in zip(ks, _minplus_power(costs, counts)):
-        N = 2 * k + 1
-        yield -sum(min(N, sum(column)) for column in zip(*rows))
+
+    def __init__(self, flag, s):
+        self.s = rat(s)
+        self._costs = _point_costs(flag)
+        self._rows = [[0] for _ in self._costs]
+        self._n = 0
+        self._w = {}
+
+    def weight(self, k):
+        n = _parts(k, self.s)
+        if n > self._n:
+            self._advance(n)
+        return self._w[k]
+
+    def _advance(self, n):
+        num, den = self.s.numerator, self.s.denominator
+        costs, rows = self._costs, self._rows
+        for parts in range(self._n + 1, n + 1):
+            rows = _minplus_step(costs, rows)
+            if parts % num == 0:
+                k = parts // num * den
+                deg = rows[0] if len(rows) == 1 else map(sum, zip(*rows))
+                self._w[k] = -sum(map(min, deg, repeat(2 * k + 1)))
+        self._rows, self._n = rows, n
 
 
 def weight(flag, k, s):
     """Total weight w(k) from the filtration dimension count."""
-    return next(_weights(flag, s, [k]))
+    return _Sweep(flag, s).weight(k)
 
 
 @dataclass(frozen=True)
@@ -235,20 +264,30 @@ def donaldson_futaki(flag, s, k_base=1):
     coefficient doubles as the inferred (Lbar^2).  Semiampleness of
     the polarization is not checked; the report says so explicitly.
     """
-    s = rat(s)
+    return _fit(_Sweep(flag, s), k_base)
+
+
+def _fit(sweep, k_base):
+    """donaldson_futaki at one grid base, reading w from a shared sweep.
+
+    Every sample point, refinement included, is checked against
+    MAX_KS before the sweep takes a step.
+    """
+    s = sweep.s
     if s <= 0:
         raise InputError("s must be a positive rational")
     if k_base < 1:
         raise InputError("k_base must be >= 1")
     k0 = k_base * s.denominator
-    ks = [k0 * m for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS]
-    weights = _weights(flag, s, ks)
+    for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
+        _parts(k0 * m, s)
     grid = SampleGrid(
-        [(k0 * m, Fraction(next(weights))) for m in DEFAULT_MULTIPLIERS], base=k0
+        [(k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS],
+        base=k0,
     )
     w_poly, onset = stabilized_fit(grid, 2)
-    for m, w in zip(REFINE_MULTIPLIERS, weights):
-        if w_poly(k0 * m) != w:
+    for m in REFINE_MULTIPLIERS:
+        if w_poly(k0 * m) != sweep.weight(k0 * m):
             raise GridTooShortError(f"refinement misses w({k0 * m})", largest_k=k0 * m)
     df = df_coefficient(w_poly, N_POLY, 1)
     return DFReport(

@@ -20,7 +20,7 @@ from .arrangements import (
     lct_central,
 )
 from .errors import GridTooShortError
-from .flags import FlagIdealP1, donaldson_futaki, tilde_divisors
+from .flags import FlagIdealP1, _fit, _Sweep, donaldson_futaki, tilde_divisors
 from .gamma import (
     SEMISTABLE_NOT_STABLE,
     gamma_at_k,
@@ -66,12 +66,15 @@ def df_with_escalation(flag, s=1):
     The weight is only eventually polynomial along sufficiently
     divisible k; escalating the base until a fit stabilizes and
     passes its refinement check makes that quantifier concrete.  A
-    base that needs k*s > MAX_KS ends the walk with SizeError.
+    base that needs k*s > MAX_KS ends the walk with SizeError.  Every
+    base reads its weights from one min-plus sweep, so no part step
+    is taken twice.
     """
+    sweep = _Sweep(flag, s)
     last = None
     for base in ESCALATION_BASES:
         try:
-            return donaldson_futaki(flag, s, k_base=base)
+            return _fit(sweep, base)
         except GridTooShortError as exc:
             last = exc
     raise last

@@ -199,6 +199,27 @@ def test_check_summation(tmp_path):
     assert data["rhs"] == data["lhs"]
 
 
+def test_check_summation_text_keeps_each_generator_on_one_line(tmp_path):
+    # J(z^3 (x^2, y^2)) = z^3 (x, y): two generators, two lines each side
+    path = tmp_path / "sum.json"
+    path.write_text(
+        json.dumps(
+            {
+                "a0": {"n": 3, "generators": [[0, 0, 3]]},
+                "c0": "1",
+                "parts": [{"n": 3, "generators": [[2, 0, 0], [0, 2, 0]]}],
+                "c": "1",
+            }
+        )
+    )
+    proc = run_cli("check-summation", "--file", str(path), "--format", "text")
+    assert proc.returncode == 0
+    side = ["  n: 3", "  generators:", "    - [0, 1, 3]", "    - [1, 0, 3]"]
+    assert proc.stdout.splitlines() == [
+        "equal: True", "witness_denominator: 1", "lhs:", *side, "rhs:", *side
+    ]
+
+
 def test_check_summation_scan_cap_exits_3(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(

@@ -23,8 +23,14 @@ from kstab import (
     tilde_divisors,
     weight,
 )
-from kstab.flags import MAX_KS, _weights, flag_from_json
-from kstab.verification import df_with_escalation, random_flag_corpus
+from kstab import flags
+from kstab.flags import MAX_KS, _Sweep, flag_from_json
+from kstab.polynomials import SampleGrid, df_coefficient, stabilized_fit
+from kstab.verification import (
+    ESCALATION_BASES,
+    df_with_escalation,
+    random_flag_corpus,
+)
 
 F = Fraction
 
@@ -176,13 +182,18 @@ def test_weight_matches_brute_force_on_corpus():
 
 
 def test_one_sweep_matches_brute_force():
-    # _weights advances each point's min-plus row across the whole grid
+    # one _Sweep answers every query: increasing, out of order, repeated
     for flag in random_flag_corpus("sweep", 6, max_points=2, max_mult=3):
-        ks = [1, 2, 4, 5]
-        assert list(_weights(flag, 1, ks)) == [brute_weight(flag, k, k) for k in ks]
-        assert list(_weights(flag, F(1, 2), [2, 6])) == [
-            brute_weight(flag, 2, 1), brute_weight(flag, 6, 3)
-        ]
+        for ks in ([1, 2, 4, 5], [5, 2, 5, 1]):
+            sweep = _Sweep(flag, 1)
+            assert [sweep.weight(k) for k in ks] == [
+                brute_weight(flag, k, k) for k in ks
+            ]
+        for ks in ([2, 6], [6, 2, 6]):
+            sweep = _Sweep(flag, F(1, 2))
+            assert [sweep.weight(k) for k in ks] == [
+                brute_weight(flag, k, k // 2) for k in ks
+            ]
 
 
 def test_weight_input_contracts():
@@ -327,3 +338,129 @@ def test_df_fat_point_escalation(m):
     for k in (m, 2 * m, 3 * m):
         assert weight(flag, k, 1) == (F(2, m) - 2) * (k * k + k)
     assert df_with_escalation(flag, 1).DF0 == 8 - F(8, m)
+
+
+# ---------------------------------------------------------------------------
+# one sweep per escalation against a fresh sweep per base
+
+
+_INF = 1 << 62
+
+
+def _oracle_minplus_power(costs, counts):
+    """Min-plus powers from zero parts, rows yielded at each count."""
+    rows, done = [[0] for _ in costs], 0
+    for n in counts:
+        for _ in range(done, n):
+            rows = [
+                list(map(min, *(
+                    [_INF] * t + [x + ct for x in row] + [_INF] * (len(cost) - 1 - t)
+                    for t, ct in enumerate(cost)
+                )))
+                for row, cost in zip(rows, costs)
+            ]
+        done = n
+        yield rows
+
+
+def _oracle_weights(flag, s, ks):
+    """w(k) for the increasing k in ks, every count checked first."""
+    counts = []
+    for k in ks:
+        n = k * s
+        if n.denominator != 1 or n < 1:
+            raise InputError(f"k*s must be a positive integer (got {n})")
+        if n > MAX_KS:
+            raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
+        counts.append(int(n))
+    costs = [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
+    for k, rows in zip(ks, _oracle_minplus_power(costs, counts)):
+        N = 2 * k + 1
+        yield -sum(min(N, sum(column)) for column in zip(*rows))
+
+
+def oracle_df(flag, s, k_base):
+    """One grid base fitted from its own sweep, started at zero parts."""
+    k0 = k_base * s.denominator
+    multipliers = flags.DEFAULT_MULTIPLIERS + flags.REFINE_MULTIPLIERS
+    weights = _oracle_weights(flag, s, [k0 * m for m in multipliers])
+    grid = SampleGrid(
+        [(k0 * m, F(next(weights))) for m in flags.DEFAULT_MULTIPLIERS], base=k0
+    )
+    w_poly, onset = stabilized_fit(grid, 2)
+    for m, w in zip(flags.REFINE_MULTIPLIERS, weights):
+        if w_poly(k0 * m) != w:
+            raise GridTooShortError(f"refinement misses w({k0 * m})", largest_k=k0 * m)
+    df = df_coefficient(w_poly, flags.N_POLY, 1)
+    return DFReport(
+        s=s, k_grid=grid, w_poly=w_poly, N_poly=flags.N_POLY, DF=df, DF0=4 * df,
+        inferred_Lbar_sq=2 * w_poly.coeff(2), onset_k=onset,
+    )
+
+
+def oracle_escalation(flag, s):
+    last = None
+    for base in ESCALATION_BASES:
+        try:
+            return oracle_df(flag, s, base)
+        except GridTooShortError as exc:
+            last = exc
+    raise last
+
+
+def outcome(run, *args):
+    try:
+        return run(*args).to_json()
+    except (GridTooShortError, SizeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ORACLE_CASES = [
+    (f"corpus-{i}-s{s}", flag, F(s))
+    for i, flag in enumerate(random_flag_corpus("df-oracle", 12))
+    for s in ("1", "1/2", "2/3", "3/2")
+] + [(f"fat-{m}", FlagIdealP1([{"p": m}]), F(1)) for m in range(2, 17)] + [
+    # no base up to 13 fits, and base 14 needs k*s = 504 > MAX_KS
+    ("size-limit", FlagIdealP1([{"p": 2, "q": 1, "r": 1}, {"p": 3, "q": 3, "r": 1},
+                                {"p": 3, "q": 5, "r": 2}]), F(3, 2)),
+    # every base up to 40 fails to stabilize
+    ("grid-limit", FlagIdealP1([{"p": 1, "q": 1, "r": 2}, {"p": 1, "q": 3, "r": 2},
+                                {"p": 3, "q": 4, "r": 2}]), F(1, 2)),
+]
+
+
+@pytest.mark.parametrize("flag,s", [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_shared_sweep_matches_a_fresh_sweep_per_base(flag, s):
+    # fat points 11, 13 and 15 included: wrong, but wrong the same way
+    assert outcome(df_with_escalation, flag, s) == outcome(oracle_escalation, flag, s)
+
+
+def count_steps(monkeypatch):
+    steps = []
+    step = flags._minplus_step
+
+    def counted(costs, rows):
+        steps.append(1)
+        return step(costs, rows)
+
+    monkeypatch.setattr(flags, "_minplus_step", counted)
+    return steps
+
+
+def test_escalation_takes_each_part_step_once(monkeypatch):
+    # fat point 16 rejects bases 1..7 before base 8 fits; each base
+    # asks for parts the sweep already holds or extends it
+    steps = count_steps(monkeypatch)
+    report = df_with_escalation(FlagIdealP1([{"p": 16}]), 1)
+    largest = report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
+    assert report.k_grid.base > 1
+    assert len(steps) == largest
+
+
+def test_every_sample_is_capped_before_the_sweep(monkeypatch):
+    # base 41: the grid reaches k*s = 328 < MAX_KS, the refinement 492
+    steps = count_steps(monkeypatch)
+    with pytest.raises(SizeError, match="got 492"):
+        donaldson_futaki(POINT, 1, k_base=41)
+    assert steps == []
