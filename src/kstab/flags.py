@@ -7,13 +7,16 @@ count gives the total weight w(k); the Donaldson-Futaki invariant is
 then read off the degree-2 weight polynomial.  The ks-th power is
 built one part at a time, so one forward min-plus sweep per (flag, s)
 serves every k a call samples: each grid base an escalation tries and
-its refinement check.  Everything here runs on exact integers and
-rationals.
+its refinement check.  Each part step convolves only the band of a
+row that a new part can still change, and w(k) sums the rows only
+below the point where their total reaches N = 2k + 1.  Everything
+here runs on exact integers and rationals.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
 from .polynomials import SampleGrid, UniPoly, df_coefficient, stabilized_fit
@@ -22,7 +25,8 @@ from .rationals import rat, rat_str
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
 # an accepted fit must also reproduce w at these multiples of the base
 REFINE_MULTIPLIERS = (10, 12)
-# weight's cap on k*s: escalation at s = 1 reaches base 40 times refinement 12
+# cap on the part count (k*s for weight, ks for tilde_divisors): escalation
+# at s = 1 reaches base 40 times refinement 12
 MAX_KS = 480
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
@@ -138,16 +142,43 @@ def _point_costs(flag):
 def _minplus_step(costs, rows):
     """One more part at every point, by (min,+) convolution with its costs.
 
-    If entry j of rows[p] is the cheapest way to write j as n parts
-    priced by costs[p], the returned rows hold the same for n + 1.
+    If entry j of rows[p] is the cheapest way to write j as n parts in
+    0..M priced by costs[p] (costs[p][0] = 0), the returned rows hold
+    the same for n + 1; n is read off the row length M*n + 1.  Two
+    pigeonhole arguments settle all but a band of the new row:
+
+    - j <= n: n + 1 parts summing to j include a zero part, which
+      costs nothing, so the entry is row[j] unchanged.
+    - j >= (M - 1)*n + M: the deficits M - t of the n + 1 parts sum to
+      M*(n + 1) - j <= n, so some part is M and the entry is
+      row[j - M] + costs[M].
+
+    Only j in [n + 1, (M - 1)*n + M) takes the minimum over every part
+    size, reading row[n + 1 - M : (M - 1)*n + M]; the band is
+    (M - 2)*n + O(M) wide, empty or one entry for M <= 2.
     """
-    return [
-        list(map(min, *(
-            [_INF] * t + [x + ct for x in row] + [_INF] * (len(cost) - 1 - t)
-            for t, ct in enumerate(cost)
-        )))
-        for row, cost in zip(rows, costs)
-    ]
+    stepped = []
+    for row, cost in zip(rows, costs):
+        m = len(cost) - 1
+        n = (len(row) - 1) // m
+        lo, hi = n + 1, max(n + 1, (m - 1) * n + m)
+        # while n < m - 1 the band reads past both ends of the row
+        pad = max(0, m - 1 - n)
+        wide = [_INF] * pad + row + [_INF] * pad if pad else row
+        # costs[0] = 0: the zero part's term is the slice itself
+        band = map(min, wide[pad + lo:pad + hi], *(
+            [x + ct for x in wide[pad + lo - t:pad + hi - t]]
+            for t, ct in enumerate(cost[1:], 1)
+        ))
+        stepped.append(row[:lo] + list(band) + [x + cost[m] for x in row[hi - m:]])
+    return stepped
+
+
+def _positive_int(name, value):
+    """value if it is an int >= 1; bools are rejected, as in PointDivisor."""
+    if type(value) is not int or value < 1:
+        raise InputError(f"{name} must be an integer >= 1")
+    return value
 
 
 def tilde_divisors(flag, ks):
@@ -157,10 +188,10 @@ def tilde_divisors(flag, ks):
     pointwise minimum and a product adds divisors, so each point can
     be treated independently: the j-th divisor takes, at p, the
     cheapest split of j into at most ks parts weighted by the flag
-    multiplicities at p.
+    multiplicities at p.  ks above MAX_KS raises SizeError.
     """
-    if ks < 1:
-        raise InputError("ks must be >= 1")
+    if _positive_int("ks", ks) > MAX_KS:
+        raise SizeError(f"ks capped at {MAX_KS} (got {ks})")
     costs = _point_costs(flag)
     rows = [[0] for _ in costs]
     for _ in range(ks):
@@ -172,9 +203,7 @@ def tilde_divisors(flag, ks):
 
 def _parts(k, s):
     """The part count n = k*s behind w(k), checked against MAX_KS."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    n, rest = divmod(k * s.numerator, s.denominator)
+    n, rest = divmod(_positive_int("k", k) * s.numerator, s.denominator)
     if rest or n < 1:
         raise InputError(f"k*s must be a positive integer (got {rat_str(k * s)})")
     if n > MAX_KS:
@@ -192,6 +221,12 @@ class _Sweep:
     nothing).  The rows only ever gain parts: passing n = k*s records
     w(k) for every integral k on the way, so a later query at a
     smaller k is a lookup and a larger one resumes from the last row.
+
+    Each row is nondecreasing in j: the costs of a valid flag are, so
+    lowering one nonzero part of an optimum for j + 1 gives n parts
+    summing to j that cost no more.  Hence deg_j is nondecreasing and
+    the terms min(N, deg_j) are deg_j below the first j with
+    deg_j >= N and N from there on (see _total_weight).
     """
 
     def __init__(self, flag, s):
@@ -214,9 +249,23 @@ class _Sweep:
             rows = _minplus_step(costs, rows)
             if parts % num == 0:
                 k = parts // num * den
-                deg = rows[0] if len(rows) == 1 else map(sum, zip(*rows))
-                self._w[k] = -sum(map(min, deg, repeat(2 * k + 1)))
+                self._w[k] = _total_weight(rows, 2 * k + 1)
         self._rows, self._n = rows, n
+
+
+def _total_weight(rows, N):
+    """-sum_j min(N, deg_j), deg the column sum of nondecreasing rows.
+
+    Costs are nonnegative, so deg_j >= rows[p][j] for every point and
+    deg reaches N no later than the first row to reach it: the rows
+    are added only up to there.
+    """
+    cut = min(bisect_left(row, N) for row in rows)
+    deg = rows[0][:cut]
+    for row in rows[1:]:
+        deg = list(map(add, deg, row))
+    cross = bisect_left(deg, N)
+    return -(sum(deg[:cross]) + N * (len(rows[0]) - cross))
 
 
 def weight(flag, k, s):
@@ -276,9 +325,7 @@ def _fit(sweep, k_base):
     s = sweep.s
     if s <= 0:
         raise InputError("s must be a positive rational")
-    if k_base < 1:
-        raise InputError("k_base must be >= 1")
-    k0 = k_base * s.denominator
+    k0 = _positive_int("k_base", k_base) * s.denominator
     for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
         _parts(k0 * m, s)
     grid = SampleGrid(

@@ -1,10 +1,13 @@
 """End-to-end CLI tests over the real entry point."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from kstab.cli import main
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -172,6 +175,24 @@ def test_df_scale_cap_exits_3(point_flag, s):
     assert proc.stdout == ""
     assert "limit reached" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Fixed flags (M = 1..4, one to three points, fat point 16 and a flag
+# that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
+# and exit code `kstab df --flag F --s S --format FMT` gave for them
+# before the min-plus step was restricted to its band; any change must
+# reproduce them byte for byte.  Run in-process through cli.main.
+DF_DATA = pathlib.Path(__file__).parent / "data" / "df"
+DF_EXPECTED = json.loads((DF_DATA / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name,s", [(name, s) for name in DF_EXPECTED
+                                    for s in DF_EXPECTED[name]])
+def test_df_checked_in_outputs(name, s, capsys):
+    for fmt, expected in DF_EXPECTED[name][s].items():
+        code = main(["df", "--flag", str(DF_DATA / name), "--s", s, "--format", fmt])
+        out = capsys.readouterr()
+        assert {"exit": code, "stdout": out.out, "stderr": out.err} == expected, fmt
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,32 @@ def test_weight_input_contracts():
     assert weight(POINT, 4, F(1, 2)) == -3
 
 
+@pytest.mark.parametrize("call,args,kwargs", [
+    (weight, (POINT, 2.0, 1), {}),
+    (weight, (POINT, "3", 1), {}),
+    (weight, (POINT, True, 1), {}),
+    (donaldson_futaki, (POINT, 1), {"k_base": "2"}),
+    (donaldson_futaki, (POINT, 1), {"k_base": True}),
+    (tilde_divisors, (POINT, 2.5), {}),
+    (tilde_divisors, (POINT, True), {}),
+], ids=["k-float", "k-str", "k-bool", "base-str", "base-bool", "ks-float", "ks-bool"])
+def test_counts_must_be_integers(call, args, kwargs):
+    with pytest.raises(InputError, match="must be an integer >= 1"):
+        call(*args, **kwargs)
+
+
+def test_tilde_size_cap(monkeypatch):
+    assert len(tilde_divisors(POINT, MAX_KS).divisors) == MAX_KS + 1
+
+    def no_step(costs, rows):
+        raise AssertionError("a part step was taken past the cap")
+
+    monkeypatch.setattr(flags, "_minplus_step", no_step)
+    for ks in (MAX_KS + 1, 10**9):
+        with pytest.raises(SizeError, match=f"got {ks}"):
+            tilde_divisors(POINT, ks)
+
+
 def test_weight_size_cap():
     # reduced point: w(k) = -(k^2 + k)/2 at s = 1
     assert weight(POINT, MAX_KS, 1) == -(MAX_KS**2 + MAX_KS) // 2
@@ -341,7 +367,7 @@ def test_df_fat_point_escalation(m):
 
 
 # ---------------------------------------------------------------------------
-# one sweep per escalation against a fresh sweep per base
+# the band step and the bounded read against their full forms
 
 
 _INF = 1 << 62
@@ -361,6 +387,46 @@ def _oracle_minplus_power(costs, counts):
             ]
         done = n
         yield rows
+
+
+def random_costs(rng, m):
+    """One point's costs on a valid flag: 0, then nondecreasing, often
+    with flat runs and a zero prefix (the point absent from D_1)."""
+    cost = [0]
+    for _ in range(m):
+        cost.append(cost[-1] + rng.choice((0, 0, 1, 2, 5)))
+    return cost
+
+
+def test_band_step_matches_the_full_convolution():
+    rng = random.Random("band")
+    for m in range(1, 7):
+        fixed = [[0] * m + [3], [0] + [2] * m, [0, 1] + [5] * (m - 1)]
+        for costs in [[c] for c in fixed] + [
+            [random_costs(rng, m) for _ in range(rng.randint(1, 3))] for _ in range(8)
+        ]:
+            rows = [[0] for _ in costs]
+            for n, full in enumerate(_oracle_minplus_power(costs, range(1, 61)), 1):
+                rows = flags._minplus_step(costs, rows)
+                assert rows == full, (costs, n)
+
+
+def test_weight_read_stops_at_the_crossing():
+    # N runs past the last column sum, where deg never reaches N
+    rng = random.Random("read")
+    for points in (1, 1, 2, 3):
+        m = rng.randint(1, 4)
+        costs = [random_costs(rng, m) for _ in range(points)]
+        for rows in _oracle_minplus_power(costs, (1, 2, 5, 12)):
+            top = max(map(sum, zip(*rows)))
+            for N in range(1, top + 3):
+                assert flags._total_weight(rows, N) == -sum(
+                    min(N, sum(col)) for col in zip(*rows)
+                ), (costs, N)
+
+
+# ---------------------------------------------------------------------------
+# one sweep per escalation against a fresh sweep per base
 
 
 def _oracle_weights(flag, s, ks):
