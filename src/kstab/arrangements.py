@@ -6,11 +6,9 @@ minimum of rank/count over the intersection lattice (Mustata,
 One exact engine enumerates that lattice for any arrangement, in
 integer arithmetic, with flats keyed by their member sets.  Braid
 arrangements need no enumeration: their lct is the closed form 2/g,
-proved in lct_braid.  The set-partition description of the braid
-lattice (braid_flats) is kept as an oracle for the engine.
+proved in lct_braid.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,8 +17,7 @@ from math import comb, gcd, lcm
 from .errors import InputError, SizeError
 from .rationals import rat, rat_str
 
-DEFAULT_MAX_CANDIDATES = 2 ** 20
-MAX_FLATS_ENV = "KSTAB_MAX_FLATS"
+MAX_CANDIDATES = 2 ** 20
 MAX_BRAID_G = 1000
 
 
@@ -113,18 +110,6 @@ class LctCertificate:
         }
 
 
-def _max_candidates(override=None):
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_FLATS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{MAX_FLATS_ENV} must be an integer") from exc
-    return DEFAULT_MAX_CANDIDATES
-
-
 def _primitive(row):
     """A nonzero integer row divided by the gcd of its entries, with
     its first nonzero entry made positive."""
@@ -140,7 +125,7 @@ def _integer_row(coefficients):
     return _primitive([c.numerator * (scale // c.denominator) for c in coefficients])
 
 
-def intersection_lattice(arr, max_candidates=None):
+def intersection_lattice(arr):
     """All flats of the arrangement, ambient space excluded.
 
     Closure by joins, with each flat keyed by its closed member set.
@@ -156,10 +141,9 @@ def intersection_lattice(arr, max_candidates=None):
     class of r reduces every other residual s by one fraction-free
     step, r[p] * s - s[p] * r at r's first nonzero column p, divided
     by its gcd; none of these vanish, since only the class of r
-    joins.  Every join counts as one candidate; exceeding the
-    configured cap aborts loudly.
+    joins.  Every join counts as one candidate; more than
+    MAX_CANDIDATES of them raise SizeError.
     """
-    limit = _max_candidates(max_candidates)
     ambient = {}
     for i, f in enumerate(arr.forms):
         ambient.setdefault(_integer_row(f.coefficients), []).append(i)
@@ -171,10 +155,10 @@ def intersection_lattice(arr, max_candidates=None):
         members, rank, classes = stack.pop()
         for r, joined in classes.items():
             examined += 1
-            if examined > limit:
+            if examined > MAX_CANDIDATES:
                 raise SizeError(
-                    f"intersection lattice exceeds {limit} candidate subspaces "
-                    f"(override with {MAX_FLATS_ENV})"
+                    f"intersection lattice exceeds {MAX_CANDIDATES} "
+                    "candidate subspaces"
                 )
             closed = members.union(joined)
             if closed in ranks:
@@ -198,9 +182,9 @@ def intersection_lattice(arr, max_candidates=None):
     return flats
 
 
-def lct_central(arr, max_candidates=None):
+def lct_central(arr):
     """Minimum of rank/count over all flats, with all minimizers."""
-    flats = intersection_lattice(arr, max_candidates=max_candidates)
+    flats = intersection_lattice(arr)
     value = min(f.ratio for f in flats)
     # a reduced arrangement always has a (1,1) flat, so the minimum
     # can never exceed 1; keep the cap as a hard guarantee
@@ -213,7 +197,7 @@ def lct_central(arr, max_candidates=None):
 
 
 # ---------------------------------------------------------------------------
-# braid arrangements: the partition lattice and the closed form
+# braid arrangements and the closed form
 
 
 def braid_pairs(g):
@@ -232,47 +216,6 @@ def braid_arrangement(g):
         coeffs[j] = Fraction(-1)
         forms.append(LinearForm(coeffs))
     return CentralArrangement(g, forms)
-
-
-def set_partitions(g):
-    """All set partitions of {0..g-1} as tuples of sorted blocks."""
-    def rec(elements):
-        if not elements:
-            yield ()
-            return
-        first, rest = elements[0], elements[1:]
-        for sub in rec(rest):
-            yield ((first,),) + sub
-            for i, block in enumerate(sub):
-                yield sub[:i] + ((first,) + block,) + sub[i + 1:]
-
-    yield from rec(tuple(range(g)))
-
-
-def partition_flat(g, blocks):
-    """The braid flat of a set partition (ignoring singleton-only input)."""
-    pair_index = {p: idx for idx, p in enumerate(braid_pairs(g))}
-    members = frozenset(
-        pair_index[(a, b)]
-        for block in blocks
-        for a, b in combinations(sorted(block), 2)
-    )
-    nblocks = len(blocks)
-    count = sum(comb(len(b), 2) for b in blocks)
-    return Flat(member_indices=members, rank=g - nblocks, count=count)
-
-
-def braid_flats(g):
-    """All braid flats via the partition lattice (no matrices)."""
-    if g < 2:
-        raise InputError("braid lattice needs g >= 2")
-    flats = []
-    for blocks in set_partitions(g):
-        if all(len(b) == 1 for b in blocks):
-            continue  # the ambient space
-        flats.append(partition_flat(g, blocks))
-    flats.sort(key=Flat.sort_key)
-    return flats
 
 
 def lct_braid(g):

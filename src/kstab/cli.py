@@ -16,11 +16,11 @@ from .errors import (
     InputError,
     SizeError,
 )
-from .flags import flag_from_json
+from .flags import donaldson_futaki, flag_from_json
 from .gamma import gamma_at_k, gamma_report_json
 from .monomials import ideal_from_json, summation_check
 from .rationals import rat, rat_str
-from .verification import df_with_escalation, run_all
+from .verification import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -95,7 +95,7 @@ def cmd_gamma(args):
 
 def cmd_df(args):
     flag = flag_from_json(_read_json_file(args.flag))
-    _emit(df_with_escalation(flag, rat(args.s)).to_json(), args.format)
+    _emit(donaldson_futaki(flag, rat(args.s)).to_json(), args.format)
     return EXIT_OK
 
 

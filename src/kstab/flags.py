@@ -28,6 +28,11 @@ REFINE_MULTIPLIERS = (10, 12)
 # cap on the part count (k*s for weight, ks for tilde_divisors): escalation
 # at s = 1 reaches base 40 times refinement 12
 MAX_KS = 480
+# a flag whose weight is quasi-polynomial of period P stabilizes
+# exactly when P divides the grid base, so escalation walks through
+# small bases directly (cheap failures) instead of huge composites,
+# up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
+ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
 
@@ -41,13 +46,16 @@ class PointDivisor:
     multiplicities: tuple  # sorted (label, mult) pairs, zeros dropped
 
     def __init__(self, multiplicities):
-        items = []
+        items = {}
         for label, mult in dict(multiplicities).items():
             if type(mult) is not int or mult < 0:
                 raise InputError("multiplicities must be nonnegative integers")
-            if mult > 0:
-                items.append((str(label), mult))
-        object.__setattr__(self, "multiplicities", tuple(sorted(items)))
+            if str(label) in items:
+                raise InputError(f"point label {str(label)!r} repeats")
+            items[str(label)] = mult
+        object.__setattr__(self, "multiplicities", tuple(
+            sorted((label, mult) for label, mult in items.items() if mult > 0)
+        ))
 
     @property
     def degree(self):
@@ -301,31 +309,45 @@ class DFReport:
         }
 
 
-def donaldson_futaki(flag, s, k_base=1):
+def donaldson_futaki(flag, s):
     """Donaldson-Futaki invariant of the flag configuration.
 
-    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = k_base * den(s),
+    The weight is only eventually polynomial along sufficiently
+    divisible k, so the fit escalates the grid base through
+    ESCALATION_BASES until one stabilizes and passes its refinement
+    check (see _fit); every base reads its weights from one min-plus
+    sweep, so no part step is taken twice.  A base that needs
+    k*s > MAX_KS ends the walk with SizeError, and a walk that runs
+    out of bases re-raises the last GridTooShortError.  DF is the
+    bilinear coefficient against N_k = 2k + 1, DF0 carries the curve
+    normalization 2*(2!)^2 / deg(-K) = 4, and the leading coefficient
+    doubles as the inferred (Lbar^2).  Semiampleness of the
+    polarization is not checked; the report says so explicitly.
+    """
+    sweep = _Sweep(flag, s)
+    if sweep.s <= 0:
+        raise InputError("s must be a positive rational")
+    last = None
+    for base in ESCALATION_BASES:
+        try:
+            return _fit(sweep, base)
+        except GridTooShortError as exc:
+            last = exc
+    raise last
+
+
+def _fit(sweep, base):
+    """The DF report at one grid base, reading w from a shared sweep.
+
+    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = base * den(s),
     fits a degree <= 2 polynomial with stabilization detection, and
     raises GridTooShortError unless the fit also reproduces w at
-    k0 * REFINE_MULTIPLIERS (same sweep, kept out of the report).  DF
-    is the bilinear coefficient against N_k = 2k + 1, DF0 carries the
-    curve normalization 2*(2!)^2 / deg(-K) = 4, and the leading
-    coefficient doubles as the inferred (Lbar^2).  Semiampleness of
-    the polarization is not checked; the report says so explicitly.
-    """
-    return _fit(_Sweep(flag, s), k_base)
-
-
-def _fit(sweep, k_base):
-    """donaldson_futaki at one grid base, reading w from a shared sweep.
-
-    Every sample point, refinement included, is checked against
-    MAX_KS before the sweep takes a step.
+    k0 * REFINE_MULTIPLIERS (kept out of the report).  Every sample
+    point, refinement included, is checked against MAX_KS before the
+    sweep takes a step.
     """
     s = sweep.s
-    if s <= 0:
-        raise InputError("s must be a positive rational")
-    k0 = _positive_int("k_base", k_base) * s.denominator
+    k0 = base * s.denominator
     for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
         _parts(k0 * m, s)
     grid = SampleGrid(

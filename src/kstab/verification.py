@@ -11,6 +11,7 @@ these suites.
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .arrangements import (
@@ -19,8 +20,7 @@ from .arrangements import (
     lct_braid,
     lct_central,
 )
-from .errors import GridTooShortError
-from .flags import FlagIdealP1, _fit, _Sweep, donaldson_futaki, tilde_divisors
+from .flags import FlagIdealP1, donaldson_futaki, tilde_divisors
 from .gamma import (
     SEMISTABLE_NOT_STABLE,
     gamma_at_k,
@@ -30,7 +30,6 @@ from .gamma import (
 )
 from .monomials import (
     MonomialIdeal,
-    _remember,
     law_checks,
     lct_monomial,
     multiplier_ideal,
@@ -43,41 +42,18 @@ from .rationals import rat_str
 # provenance: closed forms re-derived by brute-force composition
 # enumeration and direct dimension counts (tests/test_flags.py).
 FAT_POINT_EXPECTED = [
-    # (flag divisors, s, k_base, expected w_poly or None, expected DF0)
-    ([{"p": 1}], 1, 1, UniPoly([0, Fraction(-1, 2), Fraction(-1, 2)]), Fraction(2)),
-    ([{"p": 2}], 1, 1, UniPoly([0, -1, -1]), Fraction(4)),
-    ([{"p": 3}], 1, 3, None, Fraction(16, 3)),
-    ([{"p": 4}], 1, 2, None, Fraction(6)),
-    ([{"p": 5}], 1, 5, None, Fraction(32, 5)),
-    ([{"p": 1}], 2, 1, UniPoly([0, -1, -2]), Fraction(0)),
-    ([{}, {"p": 1}], 1, 1, UniPoly([0, Fraction(-1, 2), Fraction(-1, 2)]), Fraction(2)),
+    # (flag divisors, s, expected w_poly or None, expected DF0)
+    ([{"p": 1}], 1, UniPoly([0, Fraction(-1, 2), Fraction(-1, 2)]), Fraction(2)),
+    ([{"p": 2}], 1, UniPoly([0, -1, -1]), Fraction(4)),
+    ([{"p": 3}], 1, None, Fraction(16, 3)),
+    ([{"p": 4}], 1, None, Fraction(6)),
+    ([{"p": 5}], 1, None, Fraction(32, 5)),
+    ([{"p": 1}], 2, UniPoly([0, -1, -2]), Fraction(0)),
+    ([{}, {"p": 1}], 1, UniPoly([0, Fraction(-1, 2), Fraction(-1, 2)]), Fraction(2)),
 ]
 
-# a flag whose weight is quasi-polynomial of period P stabilizes
-# exactly when P divides the grid base, so escalation walks through
-# small bases directly (cheap failures) instead of huge composites,
-# up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
-ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
-
-
-def df_with_escalation(flag, s=1):
-    """Retry the DF fit with increasing grid divisibility.
-
-    The weight is only eventually polynomial along sufficiently
-    divisible k; escalating the base until a fit stabilizes and
-    passes its refinement check makes that quantifier concrete.  A
-    base that needs k*s > MAX_KS ends the walk with SizeError.  Every
-    base reads its weights from one min-plus sweep, so no part step
-    is taken twice.
-    """
-    sweep = _Sweep(flag, s)
-    last = None
-    for base in ESCALATION_BASES:
-        try:
-            return _fit(sweep, base)
-        except GridTooShortError as exc:
-            last = exc
-    raise last
+# bench/worker.py calls the DF path by this name
+df_with_escalation = donaldson_futaki
 
 
 def random_flag_corpus(seed, count, max_m=3, max_points=3, max_mult=4):
@@ -173,9 +149,9 @@ def check_vandermonde(quick=False, **_):
 
 
 def check_df_closed_forms(quick=False, **_):
-    for divisors, s, k_base, w_expected, df0_expected in FAT_POINT_EXPECTED:
+    for divisors, s, w_expected, df0_expected in FAT_POINT_EXPECTED:
         flag = FlagIdealP1(divisors)
-        report = donaldson_futaki(flag, s, k_base=k_base)
+        report = donaldson_futaki(flag, s)
         if w_expected is not None and report.w_poly != w_expected:
             return False, f"w(k) mismatch for {divisors}, s={s}"
         if report.DF0 != df0_expected:
@@ -187,23 +163,11 @@ def check_df_closed_forms(quick=False, **_):
     return True, f"{len(FAT_POINT_EXPECTED)} fat-point families match closed forms"
 
 
-DF_REPORT_CACHE_BOUND = 8  # corpora whose reports are kept
-_df_report_cache = {}
-
-
-def _df_corpus(seed, quick):
-    count = 20 if quick else 100
-    return random_flag_corpus(seed, count)
-
-
+@lru_cache(maxsize=8)
 def _df_corpus_reports(seed, quick):
-    corpus = _df_corpus(seed, quick)
-    key = (seed, len(corpus))
-    reports = _df_report_cache.get(key)
-    if reports is None:
-        reports = [df_with_escalation(f, 1) for f in corpus]
-        _remember(_df_report_cache, key, reports, DF_REPORT_CACHE_BOUND)
-    return corpus, reports
+    """The DF corpus C06 and C08 share, with its reports at s = 1."""
+    corpus = random_flag_corpus(seed, 20 if quick else 100)
+    return corpus, [donaldson_futaki(f, 1) for f in corpus]
 
 
 def check_weight_sign_and_fit(quick=False, seed=42, **_):

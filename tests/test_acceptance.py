@@ -10,7 +10,7 @@ import time
 import pytest
 
 from kstab import verification
-from kstab.verification import CRITERIA, DF_REPORT_CACHE_BOUND, check_braid_lct
+from kstab.verification import CRITERIA, check_braid_lct
 
 SEED = 42
 
@@ -30,12 +30,21 @@ def test_braid_criterion_runtime_budget():
     assert time.monotonic() - start < 10.0
 
 
-def test_df_report_cache_stays_within_its_bound(monkeypatch):
+@pytest.fixture
+def df_reports():
+    # no report made under a fake DF path may outlive the test
+    cached = verification._df_corpus_reports
+    cached.cache_clear()
+    yield cached
+    cached.cache_clear()
+
+
+def test_df_report_cache_stays_within_its_bound(df_reports, monkeypatch):
     # the reports themselves do not matter here, only how many are kept
-    monkeypatch.setattr(verification, "_df_report_cache", {})
-    monkeypatch.setattr(verification, "df_with_escalation", lambda flag, s: flag)
-    for seed in range(DF_REPORT_CACHE_BOUND + 3):
-        corpus, reports = verification._df_corpus_reports(seed, quick=True)
+    monkeypatch.setattr(verification, "donaldson_futaki", lambda flag, s: flag)
+    bound = df_reports.cache_info().maxsize
+    for seed in range(bound + 3):
+        corpus, reports = df_reports(seed, True)
         assert reports == corpus
-        assert len(verification._df_report_cache) <= DF_REPORT_CACHE_BOUND
-    assert verification._df_corpus_reports(seed, quick=True)[1] is reports
+        assert df_reports.cache_info().currsize <= bound
+    assert df_reports(seed, True)[1] is reports

@@ -9,6 +9,7 @@ import pytest
 
 from kstab import (
     CentralArrangement,
+    Flat,
     InputError,
     LinearForm,
     SizeError,
@@ -18,7 +19,8 @@ from kstab import (
     lct_braid,
     lct_central,
 )
-from kstab.arrangements import MAX_BRAID_G, MAX_FLATS_ENV, braid_flats
+from kstab import arrangements
+from kstab.arrangements import MAX_BRAID_G, braid_pairs
 
 F = Fraction
 
@@ -99,6 +101,46 @@ def flat_stats(flats):
 
 
 # ---------------------------------------------------------------------------
+# the partition lattice of a braid arrangement, an oracle for the engine
+
+
+def set_partitions(g):
+    """All set partitions of {0..g-1} as tuples of sorted blocks."""
+    def rec(elements):
+        if not elements:
+            yield ()
+            return
+        first, rest = elements[0], elements[1:]
+        for sub in rec(rest):
+            yield ((first,),) + sub
+            for i, block in enumerate(sub):
+                yield sub[:i] + ((first,) + block,) + sub[i + 1:]
+
+    yield from rec(tuple(range(g)))
+
+
+def partition_flat(g, blocks):
+    """The braid flat of a set partition: the pairs inside its blocks."""
+    pair_index = {p: idx for idx, p in enumerate(braid_pairs(g))}
+    members = frozenset(
+        pair_index[(a, b)]
+        for block in blocks
+        for a, b in combinations(sorted(block), 2)
+    )
+    count = sum(comb(len(b), 2) for b in blocks)
+    return Flat(member_indices=members, rank=g - len(blocks), count=count)
+
+
+def braid_flats(g):
+    """All braid flats via the partition lattice (no matrices)."""
+    return [
+        partition_flat(g, blocks)
+        for blocks in set_partitions(g)
+        if len(blocks) < g  # all singletons: the ambient space
+    ]
+
+
+# ---------------------------------------------------------------------------
 # construction invariants
 
 
@@ -176,15 +218,9 @@ def test_lattice_matches_brute_force_on_random_arrangements():
 
 
 def test_lattice_size_abort(monkeypatch):
-    arr = braid_arrangement(5)
-    with pytest.raises(SizeError):
-        intersection_lattice(arr, max_candidates=3)
-    monkeypatch.setenv(MAX_FLATS_ENV, "3")
-    with pytest.raises(SizeError):
-        intersection_lattice(arr)
-    monkeypatch.setenv(MAX_FLATS_ENV, "banana")
-    with pytest.raises(InputError):
-        intersection_lattice(arr)
+    monkeypatch.setattr(arrangements, "MAX_CANDIDATES", 3)
+    with pytest.raises(SizeError, match="exceeds 3 candidate"):
+        intersection_lattice(braid_arrangement(5))
 
 
 # ---------------------------------------------------------------------------

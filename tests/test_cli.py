@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from kstab import SizeError, donaldson_futaki, rat
 from kstab.cli import main
+from kstab.flags import flag_from_json
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -181,7 +183,8 @@ def test_df_scale_cap_exits_3(point_flag, s):
 # that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
 # and exit code `kstab df --flag F --s S --format FMT` gave for them
 # before the min-plus step was restricted to its band; any change must
-# reproduce them byte for byte.  Run in-process through cli.main.
+# reproduce them byte for byte.  Run in-process through cli.main, and
+# through the library call, which must answer as the command does.
 DF_DATA = pathlib.Path(__file__).parent / "data" / "df"
 DF_EXPECTED = json.loads((DF_DATA / "expected.json").read_text())
 
@@ -193,6 +196,17 @@ def test_df_checked_in_outputs(name, s, capsys):
         code = main(["df", "--flag", str(DF_DATA / name), "--s", s, "--format", fmt])
         out = capsys.readouterr()
         assert {"exit": code, "stdout": out.out, "stderr": out.err} == expected, fmt
+    expected = DF_EXPECTED[name][s]["json"]
+    flag = flag_from_json(json.loads((DF_DATA / name).read_text()))
+    if expected["exit"] == 0:
+        report = donaldson_futaki(flag, rat(s))
+        assert json.dumps(report.to_json()) + "\n" == expected["stdout"]
+    else:
+        # every recorded exit 3 is the k*s cap
+        assert expected["exit"] == 3
+        with pytest.raises(SizeError) as info:
+            donaldson_futaki(flag, rat(s))
+        assert f"limit reached: {info.value}\n" == expected["stderr"]
 
 
 # ---------------------------------------------------------------------------

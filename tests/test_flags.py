@@ -24,13 +24,9 @@ from kstab import (
     weight,
 )
 from kstab import flags
-from kstab.flags import MAX_KS, _Sweep, flag_from_json
+from kstab.flags import ESCALATION_BASES, MAX_KS, _fit, _Sweep, flag_from_json
 from kstab.polynomials import SampleGrid, df_coefficient, stabilized_fit
-from kstab.verification import (
-    ESCALATION_BASES,
-    df_with_escalation,
-    random_flag_corpus,
-)
+from kstab.verification import random_flag_corpus
 
 F = Fraction
 
@@ -78,6 +74,8 @@ def test_point_divisor_drops_zeros():
     assert d.degree == 2 and d.at("q") == 0
     with pytest.raises(InputError):
         PointDivisor({"p": -1})
+    with pytest.raises(InputError, match="repeats"):
+        PointDivisor({1: 2, "1": 3})  # both labels are "1"
 
 
 def test_flag_must_be_increasing():
@@ -205,18 +203,16 @@ def test_weight_input_contracts():
     assert weight(POINT, 4, F(1, 2)) == -3
 
 
-@pytest.mark.parametrize("call,args,kwargs", [
-    (weight, (POINT, 2.0, 1), {}),
-    (weight, (POINT, "3", 1), {}),
-    (weight, (POINT, True, 1), {}),
-    (donaldson_futaki, (POINT, 1), {"k_base": "2"}),
-    (donaldson_futaki, (POINT, 1), {"k_base": True}),
-    (tilde_divisors, (POINT, 2.5), {}),
-    (tilde_divisors, (POINT, True), {}),
-], ids=["k-float", "k-str", "k-bool", "base-str", "base-bool", "ks-float", "ks-bool"])
-def test_counts_must_be_integers(call, args, kwargs):
+@pytest.mark.parametrize("call,args", [
+    (weight, (POINT, 2.0, 1)),
+    (weight, (POINT, "3", 1)),
+    (weight, (POINT, True, 1)),
+    (tilde_divisors, (POINT, 2.5)),
+    (tilde_divisors, (POINT, True)),
+], ids=["k-float", "k-str", "k-bool", "ks-float", "ks-bool"])
+def test_counts_must_be_integers(call, args):
     with pytest.raises(InputError, match="must be an integer >= 1"):
-        call(*args, **kwargs)
+        call(*args)
 
 
 def test_tilde_size_cap(monkeypatch):
@@ -281,13 +277,6 @@ def test_df_seshadri_boundary():
     assert report.DF0 == 0
 
 
-@pytest.mark.parametrize("a,df0", [(2, F(4)), (3, F(16, 3)), (4, F(6)), (5, F(32, 5))])
-def test_df_fat_point_family(a, df0):
-    report = donaldson_futaki(FlagIdealP1([{"p": a}]), 1, k_base=a)
-    assert report.DF0 == df0
-    assert report.DF0 == 4 * (2 - F(2, a))
-
-
 def test_df_deferred_point_matches_reduced_case():
     report = donaldson_futaki(FlagIdealP1([{}, {"p": 1}]), 1)
     assert report.w_poly == UniPoly([0, F(-1, 2), F(-1, 2)])
@@ -296,15 +285,15 @@ def test_df_deferred_point_matches_reduced_case():
 
 def test_df_quasi_period_nine_flag():
     # second differences of w cycle with period 9 for this flag, so
-    # the default grid mixes residue classes and must fail loudly;
+    # the base-1 grid mixes residue classes and must fail loudly;
     # on the 9-divisible grid w = -(32k^2 + 26k)/9 exactly
     flag = FlagIdealP1([{"p": 2, "q": 2, "r": 2}, {"p": 4, "q": 2, "r": 3}])
     with pytest.raises(GridTooShortError):
-        donaldson_futaki(flag, 1)
-    report = donaldson_futaki(flag, 1, k_base=9)
+        _fit(_Sweep(flag, 1), 1)
+    report = _fit(_Sweep(flag, 1), 9)
     assert report.w_poly == UniPoly([0, F(-26, 9), F(-32, 9)])
     assert report.DF0 == 4 * (F(-32, 9) + F(52, 9))
-    escalated = df_with_escalation(flag, 1)
+    escalated = donaldson_futaki(flag, 1)
     assert escalated.w_poly == report.w_poly
 
 
@@ -313,8 +302,6 @@ def test_df_input_contracts():
         donaldson_futaki(POINT, 0)
     with pytest.raises(InputError):
         donaldson_futaki(POINT, "-1/2")
-    with pytest.raises(InputError):
-        donaldson_futaki(POINT, 1, k_base=0)
 
 
 def test_df_fractional_s_uses_divisible_grid():
@@ -340,8 +327,8 @@ def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
     flag = FlagIdealP1(divisors)
     assert random_flag_corpus(42, 100)[index] == flag
     with pytest.raises(GridTooShortError):
-        donaldson_futaki(flag, 1, k_base=3)
-    report = df_with_escalation(flag, 1)
+        _fit(_Sweep(flag, 1), 3)
+    report = donaldson_futaki(flag, 1)
     assert report.k_grid.base == base
     assert report.DF0 == df0
 
@@ -349,7 +336,8 @@ def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
 # provenance (closed form): for a fat point of multiplicity m >= 2 at
 # s = 1, deg tilde_D_j = m*j, so with k = m*a, min(2k+1, m*j) is m*j for
 # j <= 2a and 2k+1 beyond; summing, w(k) = (2/m - 2)(k^2 + k) on
-# multiples of m, hence DF0 = 4 (w2 - 2 w1) = 8 - 8/m.
+# multiples of m, hence DF0 = 4 (w2 - 2 w1) = 8 - 8/m, and the fit at
+# base m finds it for every m.
 @pytest.mark.parametrize("m", [
     pytest.param(m, marks=pytest.mark.xfail(
         strict=True,
@@ -363,7 +351,8 @@ def test_df_fat_point_escalation(m):
     flag = FlagIdealP1([{"p": m}])
     for k in (m, 2 * m, 3 * m):
         assert weight(flag, k, 1) == (F(2, m) - 2) * (k * k + k)
-    assert df_with_escalation(flag, 1).DF0 == 8 - F(8, m)
+    assert _fit(_Sweep(flag, 1), m).DF0 == 8 - F(8, m)
+    assert donaldson_futaki(flag, 1).DF0 == 8 - F(8, m)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +434,9 @@ def _oracle_weights(flag, s, ks):
         yield -sum(min(N, sum(column)) for column in zip(*rows))
 
 
-def oracle_df(flag, s, k_base):
+def oracle_df(flag, s, base):
     """One grid base fitted from its own sweep, started at zero parts."""
-    k0 = k_base * s.denominator
+    k0 = base * s.denominator
     multipliers = flags.DEFAULT_MULTIPLIERS + flags.REFINE_MULTIPLIERS
     weights = _oracle_weights(flag, s, [k0 * m for m in multipliers])
     grid = SampleGrid(
@@ -499,7 +488,7 @@ ORACLE_CASES = [
                          ids=[c[0] for c in ORACLE_CASES])
 def test_shared_sweep_matches_a_fresh_sweep_per_base(flag, s):
     # fat points 11, 13 and 15 included: wrong, but wrong the same way
-    assert outcome(df_with_escalation, flag, s) == outcome(oracle_escalation, flag, s)
+    assert outcome(donaldson_futaki, flag, s) == outcome(oracle_escalation, flag, s)
 
 
 def count_steps(monkeypatch):
@@ -518,7 +507,7 @@ def test_escalation_takes_each_part_step_once(monkeypatch):
     # fat point 16 rejects bases 1..7 before base 8 fits; each base
     # asks for parts the sweep already holds or extends it
     steps = count_steps(monkeypatch)
-    report = df_with_escalation(FlagIdealP1([{"p": 16}]), 1)
+    report = donaldson_futaki(FlagIdealP1([{"p": 16}]), 1)
     largest = report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
     assert report.k_grid.base > 1
     assert len(steps) == largest
@@ -528,5 +517,5 @@ def test_every_sample_is_capped_before_the_sweep(monkeypatch):
     # base 41: the grid reaches k*s = 328 < MAX_KS, the refinement 492
     steps = count_steps(monkeypatch)
     with pytest.raises(SizeError, match="got 492"):
-        donaldson_futaki(POINT, 1, k_base=41)
+        _fit(_Sweep(POINT, 1), 41)
     assert steps == []
