@@ -277,6 +277,13 @@ def test_df_seshadri_boundary():
     assert report.DF0 == 0
 
 
+@pytest.mark.parametrize("a,df0", [(2, F(4)), (3, F(16, 3)), (4, F(6)), (5, F(32, 5))])
+def test_df_fat_point_family(a, df0):
+    report = _fit(_Sweep(FlagIdealP1([{"p": a}]), 1), a)
+    assert report.DF0 == df0
+    assert report.DF0 == 4 * (2 - F(2, a))
+
+
 def test_df_deferred_point_matches_reduced_case():
     report = donaldson_futaki(FlagIdealP1([{}, {"p": 1}]), 1)
     assert report.w_poly == UniPoly([0, F(-1, 2), F(-1, 2)])
