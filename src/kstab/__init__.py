@@ -60,8 +60,6 @@ from .polynomials import (
     UniPoly,
     det_symbolic,
     df_coefficient,
-    interpolate,
-    stabilized_fit,
 )
 from .rationals import rat, rat_str
 

@@ -18,11 +18,7 @@ class SizeError(KstabError):
 
 
 class GridTooShortError(KstabError):
-    """A sample grid never stabilized to polynomial behavior."""
-
-    def __init__(self, message, largest_k=None):
-        super().__init__(message)
-        self.largest_k = largest_k
+    """No grid base reproduced the counted weights within the caps."""
 
 
 class InconclusiveError(KstabError):

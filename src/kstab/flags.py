@@ -2,15 +2,14 @@
 
 A flag of ideals on P^1 is a pointwise-increasing chain of effective
 divisors.  Raising the associated ideal on the product with the
-affine line to the power ks produces a filtration whose dimension
-count gives the total weight w(k); the Donaldson-Futaki invariant is
-then read off the degree-2 weight polynomial.  The ks-th power is
-built one part at a time, so one forward min-plus sweep per (flag, s)
-serves every k a call samples: each grid base an escalation tries and
-its refinement check.  Each part step convolves only the band of a
-row that a new part can still change, and w(k) sums the rows only
-below the point where their total reaches N = 2k + 1.  Everything
-here runs on exact integers and rationals.
+affine line to the power ks gives a filtration whose dimension count
+is the total weight w(k).  The Donaldson-Futaki invariant needs only
+the k^2 and k coefficients of w, which come in closed form from the
+lower convex envelopes of the flag's multiplicities; the counted
+weights confirm them and fill the report's grid.  One forward min-plus
+sweep per (flag, s) serves every k a call samples, each part step
+convolving only the band of a row that a new part can still change.
+Everything here runs on exact integers and rationals.
 """
 
 from bisect import bisect_left
@@ -19,15 +18,18 @@ from fractions import Fraction
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
-from .polynomials import SampleGrid, UniPoly, df_coefficient, stabilized_fit
+from .polynomials import SampleGrid, UniPoly, df_coefficient
 from .rationals import rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
-# an accepted fit must also reproduce w at these multiples of the base
+# an accepted base must leave the same residual at these multiples of it
 REFINE_MULTIPLIERS = (10, 12)
 # cap on the part count (k*s for weight, ks for tilde_divisors): escalation
 # at s = 1 reaches base 40 times refinement 12
 MAX_KS = 480
+# cap on the flag length M: the sweep's band and the envelope shortest
+# paths grow with M, and escalation may walk every base
+MAX_M = 16
 # a flag whose weight is quasi-polynomial of period P stabilizes
 # exactly when P divides the grid base, so escalation walks through
 # small bases directly (cheap failures) instead of huge composites,
@@ -143,7 +145,13 @@ class TildeFamily:
 
 
 def _point_costs(flag):
-    """costs[p][t]: the price at point p of a part of size t (0 for t = 0)."""
+    """costs[p][t]: the price at point p of a part of size t (0 for t = 0).
+
+    Every reader of the flag's multiplicities goes through here, so
+    this is where the flag length is capped at MAX_M.
+    """
+    if flag.M > MAX_M:
+        raise SizeError(f"flag length M capped at {MAX_M} (got {flag.M})")
     return [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
 
 
@@ -312,39 +320,38 @@ class DFReport:
 def donaldson_futaki(flag, s):
     """Donaldson-Futaki invariant of the flag configuration.
 
-    The weight is only eventually polynomial along sufficiently
-    divisible k, so the fit escalates the grid base through
-    ESCALATION_BASES until one stabilizes and passes its refinement
-    check (see _fit); every base reads its weights from one min-plus
-    sweep, so no part step is taken twice.  A base that needs
-    k*s > MAX_KS ends the walk with SizeError, and a walk that runs
-    out of bases re-raises the last GridTooShortError.  DF is the
-    bilinear coefficient against N_k = 2k + 1, DF0 carries the curve
-    normalization 2*(2!)^2 / deg(-K) = 4, and the leading coefficient
-    doubles as the inferred (Lbar^2).  Semiampleness of the
-    polarization is not checked; the report says so explicitly.
+    DF = w2 - 2 w1, the bilinear coefficient of w against N_k = 2k + 1,
+    with w2 and w1 from _closed_form; DF0 carries the curve
+    normalization 2*(2!)^2 / deg(-K) = 4, and the inferred (Lbar^2) is
+    2 w2.  The report's grid and constant term come from the first
+    base in ESCALATION_BASES whose counted weights confirm w2 and w1
+    (see _fit), every base reading one min-plus sweep.  A base that
+    needs k*s > MAX_KS ends the walk with SizeError, and a walk that
+    runs out of bases re-raises the last GridTooShortError.
+    Semiampleness of the polarization is not checked; the report says so.
     """
     sweep = _Sweep(flag, s)
     if sweep.s <= 0:
         raise InputError("s must be a positive rational")
+    w2, w1 = _closed_form(sweep._costs, sweep.s)
     last = None
     for base in ESCALATION_BASES:
         try:
-            return _fit(sweep, base)
+            return _fit(sweep, base, w2, w1)
         except GridTooShortError as exc:
             last = exc
     raise last
 
 
-def _fit(sweep, base):
+def _fit(sweep, base, w2, w1):
     """The DF report at one grid base, reading w from a shared sweep.
 
-    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = base * den(s),
-    fits a degree <= 2 polynomial with stabilization detection, and
-    raises GridTooShortError unless the fit also reproduces w at
-    k0 * REFINE_MULTIPLIERS (kept out of the report).  Every sample
-    point, refinement included, is checked against MAX_KS before the
-    sweep takes a step.
+    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = base * den(s), and
+    accepts iff w(k) - w2 k^2 - w1 k is one value c from k0 * 3 on and
+    at k0 * REFINE_MULTIPLIERS (kept out of the report); then w_poly =
+    c + w1 k + w2 k^2, and onset_k is k0 * 2 if the residual there is c
+    too, else k0 * 3.  Every sample point is checked against MAX_KS
+    before the sweep takes a step.
     """
     s = sweep.s
     k0 = base * s.denominator
@@ -354,10 +361,16 @@ def _fit(sweep, base):
         [(k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS],
         base=k0,
     )
-    w_poly, onset = stabilized_fit(grid, 2)
-    for m in REFINE_MULTIPLIERS:
-        if w_poly(k0 * m) != sweep.weight(k0 * m):
-            raise GridTooShortError(f"refinement misses w({k0 * m})", largest_k=k0 * m)
+    head, *rest = (w - w2 * k * k - w1 * k for k, w in grid.entries)
+    c = rest[-1]
+    if any(r != c for r in rest):
+        raise GridTooShortError(
+            f"no stabilization within the grid (largest k tried: {grid.ks()[-1]})"
+        )
+    for k in (k0 * m for m in REFINE_MULTIPLIERS):
+        if sweep.weight(k) - w2 * k * k - w1 * k != c:
+            raise GridTooShortError(f"refinement misses w({k})")
+    w_poly = UniPoly([c, w1, w2])
     df = df_coefficient(w_poly, N_POLY, 1)
     return DFReport(
         s=s,
@@ -366,6 +379,103 @@ def _fit(sweep, base):
         N_poly=N_POLY,
         DF=df,
         DF0=4 * df,
-        inferred_Lbar_sq=2 * w_poly.coeff(2),
-        onset_k=onset,
+        inferred_Lbar_sq=2 * w2,
+        onset_k=grid.ks()[0 if head == c else 1],
     )
+
+
+def _closed_form(costs, s):
+    """(w2, w1): the k^2 and k coefficients of w(k), from the envelopes.
+
+    At a point, c(t) = costs[p][t] for parts t = 0..M, and c^ is the
+    lower convex envelope of the points (t, c(t)), with integer
+    vertices, 0 among them.  D^ = sum_p c^ is convex, nondecreasing and
+    linear between integers; u* is the least u in [0, M] with
+    s D^(u) >= 2, or M.  On a segment [a, b] of c^, L = b - a, with
+    line l, the excess x(t) = c(t) - l(t) is >= 0 (c >= c^ >= l) and
+    0 at a and b.  e(rho), rho in Z/L, is the least total excess of
+    parts whose offsets t - a sum to rho mod L: a shortest path on L
+    nodes, of at most L - 1 parts (_mean_excess).  E(u) sums over the
+    points the mean of e on the segment holding u.  Then
+
+        w2 = -s int_0^M min(2, s D^(u)) du,
+        w1 = -s (int_0^u* E(u) du + D^(u*)/2 + M - u*).
+
+    Proof.  With n = ks and N = 2k + 1, w(k) = -sum_{j=1..Mn}
+    min(N, deg_j), deg_j summing the least price P(j) of n parts
+    summing to j over the points (see _Sweep); O(1) is bounded in k.
+    1. If j/n is in [a, b], n parts summing to j have
+       sum_i l(t_i) = n c^(j/n), so P(j) = n c^(j/n) + X(j), X(j) the
+       least excess of such parts; their offsets sum to r = j - na, so
+       X(j) >= e(r).  Padding e(r)'s path (offset sum R, |R| < LM)
+       with parts a and b gives n parts summing to j once
+       na + LM <= j <= nb - 2LM, where X(j) = e(r mod L).  Always
+       X(j) <= max x: r // L parts b, one a + r % L, the rest a.
+    2. h(u) = min(N, n D^(u)) is linear between the integers, where
+       j = nu is integral, but for its one crossing with N, so the
+       trapezoid rule gives sum_j h(j/n) = n int_0^M h + h(M)/2 + O(1).
+       As n D^ = k s D^, n int_0^M min(2k, n D^) = k^2 s int_0^M
+       min(2, s D^).  If n D^ reaches N, it does within 1/(n D^'(u*))
+       of u*, with the left slope D^'(u*) >= D^(u*)/u* > 0; so 2k -> N
+       adds n (M - u*) + O(1), and h(M)/2 = n D^(u*)/2 + O(1).
+    3. deg_j = n D^(j/n) + X, X the sum of the points' X(j), bounded
+       by step 1.  min(N, deg_j) - h(j/n) is X where n D^(j/n) + X <= N
+       and 0 where n D^(j/n) >= N; by the slope in 2, O(1) many j are
+       neither, so the excess adds sum_{j < nu*} X + O(1).  By 1, X
+       runs through the L-periodic e on each segment but near its ends,
+       and a period sums to L times its mean: n int_0^u* E du + O(1).
+    Hence w(k) = w2 k^2 + w1 k + O(1): wherever w is a polynomial on a
+    progression of k, its k^2 and k coefficients are w2 and w1.  A fat
+    point of multiplicity m >= 2 at s = 1 has D^(u) = m u, E = 0 and
+    u* = 2/m, so w2 = w1 = 2/m - 2 and DF0 = 4 (w2 - 2 w1) = 8 - 8/m.
+    """
+    M = len(costs[0]) - 1
+    dhat = [Fraction(0)] * (M + 1)  # D^ at the integers
+    ebar = [Fraction(0)] * M  # E on each unit interval
+    for cost in costs:
+        hull = _lower_hull(cost)
+        for a, b in zip(hull, hull[1:]):
+            mean = _mean_excess(cost, a, b)
+            for t in range(a + 1, b + 1):
+                dhat[t] += cost[a] + Fraction((cost[b] - cost[a]) * (t - a), b - a)
+                ebar[t - 1] += mean
+    area = excess = ustar = Fraction(0)
+    for t in range(M):
+        y0, y1 = s * dhat[t], s * dhat[t + 1]
+        # the share of [t, t + 1] where s D^ <= 2, a prefix as D^ rises
+        tau = 1 if y1 <= 2 else 0 if y0 >= 2 else (2 - y0) / (y1 - y0)
+        area += tau * (2 * y0 + tau * (y1 - y0)) / 2 + (1 - tau) * 2
+        excess += tau * ebar[t]
+        ustar += tau
+    return -s * area, -s * (excess + min(dhat[M], 2 / s) / 2 + M - ustar)
+
+
+def _lower_hull(cost):
+    """The vertices t of the lower convex envelope of (t, cost[t])."""
+    hull = []
+    for t, c in enumerate(cost):
+        # drop the last vertex b while it is on or above the chord a -> t
+        while len(hull) > 1 and (cost[hull[-1]] - cost[hull[-2]]) * (
+            t - hull[-2]
+        ) >= (c - cost[hull[-2]]) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(t)
+    return hull
+
+
+def _mean_excess(cost, a, b):
+    """The mean of e over Z/L on the envelope segment [a, b], L = b - a.
+
+    Excesses times L are integers.  Round i of relaxation settles the
+    paths of i parts; part a + 1 (offset 1) reaches every residue.
+    """
+    L, rise = b - a, cost[b] - cost[a]
+    parts = [
+        ((t - a) % L, L * (c - cost[a]) - rise * (t - a)) for t, c in enumerate(cost)
+    ]
+    dist = [0] + [_INF] * (L - 1)
+    for _ in range(L - 1):
+        dist = [
+            min(dist[v], *(dist[(v - d) % L] + x for d, x in parts)) for v in range(L)
+        ]
+    return Fraction(sum(dist), L * L)

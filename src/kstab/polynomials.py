@@ -2,16 +2,16 @@
 
 UniPoly is a dense univariate polynomial over Q (lowest degree
 first), MultiPoly a sparse multivariate one keyed by exponent
-vectors.  On top of those sit the three operations the rest of the
-package leans on: exact interpolation, stabilization-detecting
-fits over a sample grid, and the bilinear coefficient extraction
-that defines the Donaldson-Futaki invariant.
+vectors.  SampleGrid holds the exact weight samples a DF report
+carries, df_coefficient is the bilinear coefficient extraction that
+defines the Donaldson-Futaki invariant, and det_symbolic expands the
+Veronese determinants.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GridTooShortError, InputError, SizeError
+from .errors import InputError, SizeError
 from .rationals import rat, rat_str
 
 MAX_DET_SIZE = 7
@@ -46,21 +46,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def scale(self, factor):
-        factor = rat(factor)
-        return UniPoly([factor * c for c in self.coeffs])
-
-    def is_zero(self):
-        return not self.coeffs
-
     def coeff_strings(self):
         return [rat_str(c) for c in self.coeffs]
 
@@ -93,101 +78,8 @@ class SampleGrid:
         object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "base", base)
 
-    def __len__(self):
-        return len(self.entries)
-
     def ks(self):
         return [k for k, _ in self.entries]
-
-
-def _as_grid(samples):
-    if isinstance(samples, SampleGrid):
-        return samples
-    ordered = sorted(samples)
-    ks = [k for k, _ in ordered]
-    if len(set(ks)) != len(ks):
-        raise InputError("duplicate k values in sample grid")
-    return SampleGrid(ordered)
-
-
-def interpolate(samples):
-    """Unique polynomial of degree < #samples through all samples.
-
-    Newton divided differences, expanded to monomial coefficients;
-    exact at every step.
-    """
-    grid = _as_grid(samples)
-    if len(grid) < 2:
-        raise InputError("interpolation needs at least 2 samples")
-    xs = [Fraction(k) for k, _ in grid.entries]
-    coefs = _divided_differences(grid.entries)
-    # expand sum coefs[i] * prod_{j<i} (k - xs[j])
-    poly = UniPoly([])
-    basis = UniPoly([1])
-    for c, x in zip(coefs, [None] + xs[:-1]):
-        if x is not None:
-            basis = _mul_linear(basis, -x)
-        poly = poly + basis.scale(c)
-    return poly
-
-
-def _mul_linear(p, constant):
-    # p(k) * (k + constant)
-    out = [Fraction(0)] * (len(p.coeffs) + 1)
-    for i, c in enumerate(p.coeffs):
-        out[i + 1] += c
-        out[i] += c * constant
-    return UniPoly(out)
-
-
-def _divided_differences(entries):
-    xs = [Fraction(k) for k, _ in entries]
-    table = [v for _, v in entries]
-    coefs = [table[0]]
-    for order in range(1, len(entries)):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + order] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-        coefs.append(table[0])
-    return coefs
-
-
-def stabilized_fit(samples, degree_bound):
-    """Fit a degree <= degree_bound polynomial to the tail of a grid.
-
-    The fit interpolates the last degree_bound+1 samples and is
-    accepted only if it also reproduces the two samples before them;
-    this distinguishes genuine polynomial behavior from coincidence.
-    Returns (poly, onset_k) where onset_k is the smallest grid k from
-    which the fit agrees with every later sample.
-    """
-    grid = _as_grid(samples)
-    if degree_bound < 0:
-        raise InputError("degree bound must be >= 0")
-    if len(grid) < degree_bound + 3:
-        raise InputError(
-            f"need at least {degree_bound + 3} samples for degree bound {degree_bound}"
-        )
-    entries = grid.entries
-    tail = entries[-(degree_bound + 1):]
-    # interpolate needs two samples; a constant fit is the last sample
-    poly = interpolate(tail) if degree_bound else UniPoly([tail[0][1]])
-    onset = entries[-1][0]
-    for k, v in reversed(entries):
-        if poly(k) != v:
-            break
-        onset = k
-    # Same test as vanishing (d+1)-th differences on the last two windows
-    # of d+2 samples: the last window's vanish iff poly passes its first
-    # sample; poly then fits all but the first of the one before, likewise.
-    if onset > entries[-(degree_bound + 3)][0]:
-        raise GridTooShortError(
-            "no stabilization within the grid "
-            f"(largest k tried: {entries[-1][0]})",
-            largest_k=entries[-1][0],
-        )
-    return poly, onset
 
 
 def df_coefficient(w, N, n):

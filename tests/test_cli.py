@@ -9,7 +9,7 @@ import pytest
 
 from kstab import SizeError, donaldson_futaki, rat
 from kstab.cli import main
-from kstab.flags import flag_from_json
+from kstab.flags import MAX_M, flag_from_json
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -176,6 +176,25 @@ def test_df_scale_cap_exits_3(point_flag, s):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "limit reached" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_df_saturated_base_grid(tmp_path):
+    # every count saturates on the base-1 grid, where a blind fit reads
+    # DF0 = 0; the closed form gives 8 - 8/25
+    path = tmp_path / "fat25.json"
+    path.write_text(json.dumps({"divisors": [{"p": 25}]}))
+    data = run_json("df", "--flag", str(path))
+    assert data["DF0"] == "192/25"
+
+
+def test_df_flag_length_cap_exits_3(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"divisors": [{"p": 1}] * (MAX_M + 1)}))
+    proc = run_cli("df", "--flag", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"limit reached: flag length M capped at {MAX_M}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

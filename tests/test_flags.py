@@ -2,7 +2,9 @@
 
 The fat-point closed forms asserted here are re-derived from scratch
 by the brute-force composition oracle below before being compared
-with the fast min-plus path and the fitted polynomials.
+with the fast min-plus path and the DF reports.  A blind degree-2
+fit of the counted weights (interpolate, stabilized_fit) is kept
+below as the reference the escalation is compared against.
 """
 
 import random
@@ -20,12 +22,22 @@ from kstab import (
     SizeError,
     UniPoly,
     donaldson_futaki,
+    rat_str,
     tilde_divisors,
     weight,
 )
 from kstab import flags
-from kstab.flags import ESCALATION_BASES, MAX_KS, _fit, _Sweep, flag_from_json
-from kstab.polynomials import SampleGrid, df_coefficient, stabilized_fit
+from kstab.flags import (
+    ESCALATION_BASES,
+    MAX_KS,
+    MAX_M,
+    _closed_form,
+    _fit,
+    _point_costs,
+    _Sweep,
+    flag_from_json,
+)
+from kstab.polynomials import SampleGrid, df_coefficient
 from kstab.verification import random_flag_corpus
 
 F = Fraction
@@ -277,11 +289,19 @@ def test_df_seshadri_boundary():
     assert report.DF0 == 0
 
 
+def pinned(flag, s, base):
+    """The report at one grid base, against the closed form's w2 and w1."""
+    s = F(s)
+    return _fit(_Sweep(flag, s), base, *_closed_form(_point_costs(flag), s))
+
+
 @pytest.mark.parametrize("a,df0", [(2, F(4)), (3, F(16, 3)), (4, F(6)), (5, F(32, 5))])
 def test_df_fat_point_family(a, df0):
-    report = _fit(_Sweep(FlagIdealP1([{"p": a}]), 1), a)
+    flag = FlagIdealP1([{"p": a}])
+    report = pinned(flag, 1, a)
     assert report.DF0 == df0
     assert report.DF0 == 4 * (2 - F(2, a))
+    assert report.to_json() == oracle_df(flag, F(1), a).to_json()
 
 
 def test_df_deferred_point_matches_reduced_case():
@@ -295,11 +315,13 @@ def test_df_quasi_period_nine_flag():
     # the base-1 grid mixes residue classes and must fail loudly;
     # on the 9-divisible grid w = -(32k^2 + 26k)/9 exactly
     flag = FlagIdealP1([{"p": 2, "q": 2, "r": 2}, {"p": 4, "q": 2, "r": 3}])
-    with pytest.raises(GridTooShortError):
-        _fit(_Sweep(flag, 1), 1)
-    report = _fit(_Sweep(flag, 1), 9)
+    for fit in (pinned, oracle_df):
+        with pytest.raises(GridTooShortError):
+            fit(flag, F(1), 1)
+    report = pinned(flag, 1, 9)
     assert report.w_poly == UniPoly([0, F(-26, 9), F(-32, 9)])
     assert report.DF0 == 4 * (F(-32, 9) + F(52, 9))
+    assert report.to_json() == oracle_df(flag, F(1), 9).to_json()
     escalated = donaldson_futaki(flag, 1)
     assert escalated.w_poly == report.w_poly
 
@@ -318,10 +340,11 @@ def test_df_fractional_s_uses_divisible_grid():
 
 
 # Flags #18 and #58 of random_flag_corpus(42, 100), the corpus C06 and
-# C08 read.  At base 3 the six-point grid passes the divided-difference
-# test by coincidence (DF0 = 44/9 and 38/9), but the fit misses the
-# counted weight at 10 times the base; the escalation goes on to a base
-# whose fit reproduces every multiple of it up to k*s = 480.
+# C08 read.  At base 3 the six-point grid passes the blind fit's
+# divided-difference test by coincidence (DF0 = 44/9 and 38/9), and only
+# its refinement at 10 times the base rejects it; against the closed
+# form the grid itself fails.  The escalation goes on to a base that
+# reproduces every multiple of it up to k*s = 480.
 SEED42_REFINED = {
     "seed42-18": (18, [{"p": 1, "q": 2, "r": 2}, {"p": 2, "q": 2, "r": 3}], 7, F(64, 7)),
     "seed42-58": (58, [{"p": 2}, {"p": 3, "r": 2}, {"p": 4, "r": 4}], 5, F(36, 5)),
@@ -333,8 +356,10 @@ SEED42_REFINED = {
 def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
     flag = FlagIdealP1(divisors)
     assert random_flag_corpus(42, 100)[index] == flag
-    with pytest.raises(GridTooShortError):
-        _fit(_Sweep(flag, 1), 3)
+    with pytest.raises(GridTooShortError, match="refinement misses w"):
+        oracle_df(flag, F(1), 3)
+    with pytest.raises(GridTooShortError, match="no stabilization"):
+        pinned(flag, 1, 3)
     report = donaldson_futaki(flag, 1)
     assert report.k_grid.base == base
     assert report.DF0 == df0
@@ -343,23 +368,60 @@ def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
 # provenance (closed form): for a fat point of multiplicity m >= 2 at
 # s = 1, deg tilde_D_j = m*j, so with k = m*a, min(2k+1, m*j) is m*j for
 # j <= 2a and 2k+1 beyond; summing, w(k) = (2/m - 2)(k^2 + k) on
-# multiples of m, hence DF0 = 4 (w2 - 2 w1) = 8 - 8/m, and the fit at
-# base m finds it for every m.
-@pytest.mark.parametrize("m", [
-    pytest.param(m, marks=pytest.mark.xfail(
-        strict=True,
-        reason="(2k+1) mod m is linear in k/base up to 13x, 15x, 17x the "
-        "accepted base 5, 6, 7, so the refinement check at 10x and 12x "
-        "passes a wrong fit; needs the quasi-period derived from the flag",
-    )) if m in (11, 13, 15) else m
-    for m in range(2, 17)
-])
+# multiples of m, hence DF0 = 4 (w2 - 2 w1) = 8 - 8/m, and the grid at
+# base m confirms it for every m <= 40 (12 m <= MAX_KS).  Escalation
+# needs a base that m divides, or m/2 for even m, and for odd m >= 31
+# ESCALATION_BASES holds none, so it exits with GridTooShortError.
+@pytest.mark.parametrize("m", range(2, 41))
 def test_df_fat_point_escalation(m):
     flag = FlagIdealP1([{"p": m}])
     for k in (m, 2 * m, 3 * m):
         assert weight(flag, k, 1) == (F(2, m) - 2) * (k * k + k)
-    assert _fit(_Sweep(flag, 1), m).DF0 == 8 - F(8, m)
-    assert donaldson_futaki(flag, 1).DF0 == 8 - F(8, m)
+    report = pinned(flag, 1, m)
+    assert report.DF0 == 8 - F(8, m)
+    assert report.to_json() == oracle_df(flag, F(1), m).to_json()
+    if m % 2 and m > 30:
+        with pytest.raises(GridTooShortError, match="no stabilization"):
+            donaldson_futaki(flag, 1)
+    else:
+        assert donaldson_futaki(flag, 1).DF0 == 8 - F(8, m)
+
+
+def test_closed_form_fat_points():
+    # D^(u) = m u, E = 0 and u* = 2/m: w2 = w1 = 2/m - 2
+    for m in range(2, 61):
+        costs = _point_costs(FlagIdealP1([{"p": m}]))
+        assert _closed_form(costs, F(1)) == (F(2, m) - 2, F(2, m) - 2), m
+
+
+# With a point of multiplicity >= 25 in D_1, every count min(2k+1, deg_j)
+# saturates on the base-1 grid (k <= 12), where w = -M (2k^2 + k) fits
+# exactly: the blind fit accepts it with DF0 = 0.
+SATURATED = {
+    "p25-q1": ([{"p": 25, "q": 1}], 13, F(100, 13)),
+    "p30-p40q2": ([{"p": 30}, {"p": 40, "q": 2}], 20, F(58, 5)),
+}
+
+
+@pytest.mark.parametrize("divisors,base,df0", SATURATED.values(), ids=SATURATED.keys())
+def test_df_saturated_base_grid(divisors, base, df0):
+    flag = FlagIdealP1(divisors)
+    assert oracle_df(flag, F(1), 1).DF0 == 0
+    report = donaldson_futaki(flag, 1)
+    assert (report.k_grid.base, report.DF0) == (base, df0)
+
+
+def test_flag_length_cap():
+    longest = FlagIdealP1([{"p": 1}] * MAX_M)
+    assert weight(longest, 1, 1) == brute_weight(longest, 1, 1)
+    too_long = FlagIdealP1([{"p": 1}] * (MAX_M + 1))
+    for call, args in [
+        (donaldson_futaki, (too_long, 1)),
+        (weight, (too_long, 1, 1)),
+        (tilde_divisors, (too_long, 1)),
+    ]:
+        with pytest.raises(SizeError, match=rf"capped at {MAX_M} \(got {MAX_M + 1}\)"):
+            call(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +484,68 @@ def test_weight_read_stops_at_the_crossing():
 
 
 # ---------------------------------------------------------------------------
-# one sweep per escalation against a fresh sweep per base
+# the reference: the blind fit, escalated with a fresh sweep per base
+
+
+def interpolate(samples):
+    """Unique polynomial of degree < #samples through all samples.
+
+    Newton divided differences, expanded to monomial coefficients;
+    exact at every step.
+    """
+    entries = sorted(samples)
+    xs = [F(k) for k, _ in entries]
+    if len(set(xs)) != len(xs):
+        raise InputError("duplicate k values in sample grid")
+    if len(xs) < 2:
+        raise InputError("interpolation needs at least 2 samples")
+    table = [F(v) for _, v in entries]
+    coeffs, basis = [F(0)] * len(xs), [F(1)]
+    for order in range(len(xs)):
+        if order:
+            table = [
+                (table[i + 1] - table[i]) / (xs[i + order] - xs[i])
+                for i in range(len(table) - 1)
+            ]
+            basis = [F(0)] + basis  # times (k - xs[order - 1])
+            for i in range(order):
+                basis[i] -= xs[order - 1] * basis[i + 1]
+        for i, c in enumerate(basis):
+            coeffs[i] += table[0] * c
+    return UniPoly(coeffs)
+
+
+def stabilized_fit(samples, degree_bound):
+    """Fit a degree <= degree_bound polynomial to the tail of a grid.
+
+    The fit interpolates the last degree_bound+1 samples and is
+    accepted only if it also reproduces the two samples before them.
+    Returns (poly, onset_k) where onset_k is the smallest grid k from
+    which the fit agrees with every later sample.
+    """
+    entries = samples.entries if isinstance(samples, SampleGrid) else sorted(samples)
+    if degree_bound < 0:
+        raise InputError("degree bound must be >= 0")
+    if len(entries) < degree_bound + 3:
+        raise InputError(
+            f"need at least {degree_bound + 3} samples for degree bound {degree_bound}"
+        )
+    tail = entries[-(degree_bound + 1):]
+    # interpolate needs two samples; a constant fit is the last sample
+    poly = interpolate(tail) if degree_bound else UniPoly([tail[0][1]])
+    onset = entries[-1][0]
+    for k, v in reversed(entries):
+        if poly(k) != v:
+            break
+        onset = k
+    # Same test as vanishing (d+1)-th differences on the last two windows
+    # of d+2 samples: the last window's vanish iff poly passes its first
+    # sample; poly then fits all but the first of the one before, likewise.
+    if onset > entries[-(degree_bound + 3)][0]:
+        raise GridTooShortError(
+            f"no stabilization within the grid (largest k tried: {entries[-1][0]})"
+        )
+    return poly, onset
 
 
 def _oracle_weights(flag, s, ks):
@@ -441,18 +564,20 @@ def _oracle_weights(flag, s, ks):
         yield -sum(min(N, sum(column)) for column in zip(*rows))
 
 
-def oracle_df(flag, s, base):
-    """One grid base fitted from its own sweep, started at zero parts."""
+def oracle_df(flag, s, base, weigh=None):
+    """One grid base blindly fitted, with every weight drawn before the
+    fit: from weigh(k), or else from its own sweep from zero parts."""
     k0 = base * s.denominator
     multipliers = flags.DEFAULT_MULTIPLIERS + flags.REFINE_MULTIPLIERS
-    weights = _oracle_weights(flag, s, [k0 * m for m in multipliers])
+    ks = [k0 * m for m in multipliers]
+    weights = iter([weigh(k) for k in ks] if weigh else _oracle_weights(flag, s, ks))
     grid = SampleGrid(
         [(k0 * m, F(next(weights))) for m in flags.DEFAULT_MULTIPLIERS], base=k0
     )
     w_poly, onset = stabilized_fit(grid, 2)
     for m, w in zip(flags.REFINE_MULTIPLIERS, weights):
         if w_poly(k0 * m) != w:
-            raise GridTooShortError(f"refinement misses w({k0 * m})", largest_k=k0 * m)
+            raise GridTooShortError(f"refinement misses w({k0 * m})")
     df = df_coefficient(w_poly, flags.N_POLY, 1)
     return DFReport(
         s=s, k_grid=grid, w_poly=w_poly, N_poly=flags.N_POLY, DF=df, DF0=4 * df,
@@ -460,11 +585,11 @@ def oracle_df(flag, s, base):
     )
 
 
-def oracle_escalation(flag, s):
+def oracle_escalation(flag, s, weigh=None):
     last = None
     for base in ESCALATION_BASES:
         try:
-            return oracle_df(flag, s, base)
+            return oracle_df(flag, s, base, weigh)
         except GridTooShortError as exc:
             last = exc
     raise last
@@ -475,6 +600,22 @@ def outcome(run, *args):
         return run(*args).to_json()
     except (GridTooShortError, SizeError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def assert_matches_reference(flag, s, weigh=None):
+    """The escalation equals the reference wherever the reference's fit
+    has the closed form's w2 and w1, errors included.  Elsewhere the
+    reference took a coincidental fit, and the escalation must report
+    the closed form's coefficients or raise.  True iff they are equal."""
+    w2, w1 = _closed_form(_point_costs(flag), s)
+    closed = [rat_str(w1), rat_str(w2)]
+    expected = outcome(oracle_escalation, flag, s, weigh)
+    got = outcome(donaldson_futaki, flag, s)
+    if isinstance(expected, tuple) or expected["w_poly"][1:] == closed:
+        assert got == expected, (flag, s)
+        return True
+    assert isinstance(got, tuple) or got["w_poly"][1:] == closed, (flag, s)
+    return False
 
 
 ORACLE_CASES = [
@@ -494,8 +635,18 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("flag,s", [c[1:] for c in ORACLE_CASES],
                          ids=[c[0] for c in ORACLE_CASES])
 def test_shared_sweep_matches_a_fresh_sweep_per_base(flag, s):
-    # fat points 11, 13 and 15 included: wrong, but wrong the same way
-    assert outcome(donaldson_futaki, flag, s) == outcome(oracle_escalation, flag, s)
+    # fat points 11, 13 and 15: the reference's fit is coincidental
+    assert_matches_reference(flag, s)
+
+
+def test_escalation_matches_the_reference_on_a_sample():
+    # 25 seeded flags of length up to 4, each at four values of s; the
+    # reference reads the sweep, which the cases above check
+    equal = 0
+    for flag in random_flag_corpus("closed-form", 25, max_m=4):
+        for s in map(F, ("1", "1/2", "2/3", "3/2")):
+            equal += assert_matches_reference(flag, s, _Sweep(flag, s).weight)
+    assert equal == 100
 
 
 def count_steps(monkeypatch):
@@ -524,5 +675,5 @@ def test_every_sample_is_capped_before_the_sweep(monkeypatch):
     # base 41: the grid reaches k*s = 328 < MAX_KS, the refinement 492
     steps = count_steps(monkeypatch)
     with pytest.raises(SizeError, match="got 492"):
-        _fit(_Sweep(POINT, 1), 41)
+        pinned(POINT, 1, 41)
     assert steps == []
