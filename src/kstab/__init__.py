@@ -1,9 +1,11 @@
 """Exact-rational stability toolkit for the projective line.
 
-Public surface: exact polynomials and determinants, central
-hyperplane arrangement lct with certificates, the Gibbs-type gamma
-invariant of P^1, monomial multiplier ideals as a testing oracle,
-and Donaldson-Futaki invariants of flag-ideal configurations.
+Public surface: central hyperplane arrangement lct with
+certificates, the Gibbs-type gamma invariant of P^1 with its exact
+Veronese determinants (MultiPoly, det_symbolic), monomial multiplier
+ideals as a testing oracle, and Donaldson-Futaki invariants of
+flag-ideal configurations, whose reports carry their weights as
+SampleGrid and UniPoly.
 """
 
 from .arrangements import (
@@ -28,7 +30,9 @@ from .flags import (
     DFReport,
     FlagIdealP1,
     PointDivisor,
+    SampleGrid,
     TildeFamily,
+    UniPoly,
     donaldson_futaki,
     tilde_divisors,
     validate_flag,
@@ -36,8 +40,10 @@ from .flags import (
 )
 from .gamma import (
     GammaSample,
+    MultiPoly,
     Verdict,
     classify,
+    det_symbolic,
     gamma_at_k,
     gamma_report,
     vandermonde_product,
@@ -53,13 +59,6 @@ from .monomials import (
     multiplier_ideal,
     newton_polyhedron,
     summation_check,
-)
-from .polynomials import (
-    MultiPoly,
-    SampleGrid,
-    UniPoly,
-    det_symbolic,
-    df_coefficient,
 )
 from .rationals import rat, rat_str
 

@@ -5,11 +5,13 @@ divisors.  Raising the associated ideal on the product with the
 affine line to the power ks gives a filtration whose dimension count
 is the total weight w(k).  The Donaldson-Futaki invariant needs only
 the k^2 and k coefficients of w, which come in closed form from the
-lower convex envelopes of the flag's multiplicities; the counted
-weights confirm them and fill the report's grid.  One forward min-plus
-sweep per (flag, s) serves every k a call samples, each part step
-convolving only the band of a row that a new part can still change.
-Everything here runs on exact integers and rationals.
+lower convex envelopes of the flag's multiplicities, and DF = w2 - 2 w1
+is read straight off them.  The counted weights confirm them and fill
+the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
+w_poly with its constant term.  One forward min-plus sweep per
+(flag, s) serves every k a call samples, each part step convolving
+only the band of a row that a new part can still change.  Everything
+here runs on exact integers and rationals.
 """
 
 from bisect import bisect_left
@@ -18,7 +20,6 @@ from fractions import Fraction
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
-from .polynomials import SampleGrid, UniPoly, df_coefficient
 from .rationals import rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
@@ -30,6 +31,9 @@ MAX_KS = 480
 # cap on the flag length M: the sweep's band and the envelope shortest
 # paths grow with M, and escalation may walk every base
 MAX_M = 16
+# cap on the number of points: every part step and weight read walks
+# each point's row
+MAX_POINTS = 8
 # a flag whose weight is quasi-polynomial of period P stabilizes
 # exactly when P divides the grid base, so escalation walks through
 # small bases directly (cheap failures) instead of huge composites,
@@ -37,8 +41,6 @@ MAX_M = 16
 ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
-
-N_POLY = UniPoly([1, 2])  # section count of O(2k) on P^1: N_k = 2k + 1
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,7 @@ class FlagIdealP1:
         validate_flag(self)
 
     def points(self):
-        labels = set()
-        for d in self.divisors:
-            labels.update(label for label, _ in d.multiplicities)
-        return sorted(labels)
+        return sorted({label for d in self.divisors for label, _ in d.multiplicities})
 
     def to_json(self):
         return {
@@ -105,18 +104,17 @@ class FlagIdealP1:
         }
 
 
+def _cost_table(flag):
+    """[0, D_1(p), ..., D_M(p)] for each point p, each divisor read once."""
+    columns = [dict(d.multiplicities) for d in flag.divisors]
+    return [[0] + [col.get(label, 0) for col in columns] for label in flag.points()]
+
+
 def validate_flag(flag):
     """Reject non-increasing chains and the trivial configuration."""
-    prev = None
-    labels = flag.points()
-    for d in flag.divisors:
-        if prev is not None:
-            for label in labels:
-                if d.at(label) < prev.at(label):
-                    raise InputError(
-                        "divisors must be pointwise increasing along the flag"
-                    )
-        prev = d
+    for row in _cost_table(flag):
+        if any(a > b for a, b in zip(row, row[1:])):
+            raise InputError("divisors must be pointwise increasing along the flag")
     if flag.divisors[-1].is_zero():
         raise InputError("trivial configuration (blowup is isomorphism)")
 
@@ -131,8 +129,11 @@ def flag_from_json(data):
         isinstance(d, dict) for d in divisors
     ):
         raise InputError("field 'divisors' must be a list of objects")
-    if "M" in data and data["M"] != len(divisors):
-        raise InputError("field 'M' disagrees with the divisor list length")
+    if "M" in data:
+        if type(data["M"]) is not int:
+            raise InputError("field 'M' must be an integer")
+        if data["M"] != len(divisors):
+            raise InputError("field 'M' disagrees with the divisor list length")
     return FlagIdealP1([PointDivisor(d) for d in divisors])
 
 
@@ -147,12 +148,16 @@ class TildeFamily:
 def _point_costs(flag):
     """costs[p][t]: the price at point p of a part of size t (0 for t = 0).
 
-    Every reader of the flag's multiplicities goes through here, so
-    this is where the flag length is capped at MAX_M.
+    Every computation on the flag's multiplicities reads them here, so
+    this is where the flag length is capped at MAX_M and the number of
+    points at MAX_POINTS.
     """
     if flag.M > MAX_M:
         raise SizeError(f"flag length M capped at {MAX_M} (got {flag.M})")
-    return [[0] + [d.at(label) for d in flag.divisors] for label in flag.points()]
+    costs = _cost_table(flag)
+    if len(costs) > MAX_POINTS:
+        raise SizeError(f"flag points capped at {MAX_POINTS} (got {len(costs)})")
+    return costs
 
 
 def _minplus_step(costs, rows):
@@ -290,6 +295,55 @@ def weight(flag, k, s):
 
 
 @dataclass(frozen=True)
+class UniPoly:
+    """Univariate polynomial over Q; coeffs[i] is the coefficient of k^i."""
+
+    coeffs: tuple
+
+    def __init__(self, coeffs=()):
+        cs = [rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @property
+    def degree(self):
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def coeff(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __call__(self, x):
+        x = rat(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def coeff_strings(self):
+        return [rat_str(c) for c in self.coeffs]
+
+
+N_POLY = UniPoly([1, 2])  # section count of O(2k) on P^1: N_k = 2k + 1
+
+
+@dataclass(frozen=True)
+class SampleGrid:
+    """The counted weights (k, w(k)) of a report, at multiples k of base.
+
+    _fit builds it at strictly increasing k = base * DEFAULT_MULTIPLIERS;
+    that is how "sufficiently divisible k" enters the report.
+    """
+
+    entries: tuple
+    base: int = 1
+
+    def ks(self):
+        return [k for k, _ in self.entries]
+
+
+@dataclass(frozen=True)
 class DFReport:
     s: Fraction
     k_grid: SampleGrid
@@ -320,15 +374,16 @@ class DFReport:
 def donaldson_futaki(flag, s):
     """Donaldson-Futaki invariant of the flag configuration.
 
-    DF = w2 - 2 w1, the bilinear coefficient of w against N_k = 2k + 1,
-    with w2 and w1 from _closed_form; DF0 carries the curve
-    normalization 2*(2!)^2 / deg(-K) = 4, and the inferred (Lbar^2) is
-    2 w2.  The report's grid and constant term come from the first
-    base in ESCALATION_BASES whose counted weights confirm w2 and w1
-    (see _fit), every base reading one min-plus sweep.  A base that
-    needs k*s > MAX_KS ends the walk with SizeError, and a walk that
-    runs out of bases re-raises the last GridTooShortError.
-    Semiampleness of the polarization is not checked; the report says so.
+    DF is the coefficient of k^2 k' in w(k) k' N(k') - w(k') k N(k),
+    N(k) = 2k + 1: that is w2 - 2 w1, both from _closed_form.  DF0
+    carries the curve normalization 2*(2!)^2 / deg(-K) = 4, and the
+    inferred (Lbar^2) is 2 w2.  The report's grid and constant term
+    come from the first base in ESCALATION_BASES whose counted weights
+    confirm w2 and w1 (see _fit), every base reading one min-plus
+    sweep.  A base that needs k*s > MAX_KS ends the walk with
+    SizeError, and a walk that runs out of bases re-raises the last
+    GridTooShortError.  Semiampleness of the polarization is not
+    checked; the report says so.
     """
     sweep = _Sweep(flag, s)
     if sweep.s <= 0:
@@ -358,7 +413,7 @@ def _fit(sweep, base, w2, w1):
     for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
         _parts(k0 * m, s)
     grid = SampleGrid(
-        [(k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS],
+        tuple((k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS),
         base=k0,
     )
     head, *rest = (w - w2 * k * k - w1 * k for k, w in grid.entries)
@@ -370,12 +425,11 @@ def _fit(sweep, base, w2, w1):
     for k in (k0 * m for m in REFINE_MULTIPLIERS):
         if sweep.weight(k) - w2 * k * k - w1 * k != c:
             raise GridTooShortError(f"refinement misses w({k})")
-    w_poly = UniPoly([c, w1, w2])
-    df = df_coefficient(w_poly, N_POLY, 1)
+    df = w2 - 2 * w1
     return DFReport(
         s=s,
         k_grid=grid,
-        w_poly=w_poly,
+        w_poly=UniPoly([c, w1, w2]),
         N_poly=N_POLY,
         DF=df,
         DF0=4 * df,

@@ -15,6 +15,7 @@ exponent splittings.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -247,18 +248,10 @@ def newton_polyhedron(ideal):
     return NewtonPolyhedron(source=ideal, inequalities=coordinate + facets)
 
 
-CACHE_BOUND = 4096  # entries each module cache keeps; the oldest go first
-_normal_cache = {}
-_multiplier_cache = {}
+CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
 
 
-def _remember(cache, key, value, bound):
-    """Store key in a dict cache of at most bound entries, dropping the oldest."""
-    if len(cache) >= bound:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
+@lru_cache(maxsize=CACHE_BOUND)
 def _support_normals(supports, n):
     """Facet normals shared by every sum sum_i c_i * P(a_i) with all c_i > 0.
 
@@ -273,17 +266,13 @@ def _support_normals(supports, n):
     hull of the sums of one generator per ideal.  (A repeated ideal
     adds nothing, as c * P + c' * P = (c + c') * P for convex P.)
     """
-    normals = _normal_cache.get(supports)
-    if normals is None:
-        points = {(0,) * n}
-        for gens in supports:
-            # dominated sums never support a facet
-            points = _minimalize(
-                tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
-            )
-        normals = tuple(a for a, _ in hull_inequalities(sorted(points), n))
-        _remember(_normal_cache, supports, normals, CACHE_BOUND)
-    return normals
+    points = {(0,) * n}
+    for gens in supports:
+        # dominated sums never support a facet
+        points = _minimalize(
+            tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
+        )
+    return tuple(a for a, _ in hull_inequalities(sorted(points), n))
 
 
 def multiplier_ideal(prod):
@@ -330,16 +319,19 @@ def multiplier_ideal(prod):
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
 
     # frozensets are only partially ordered, so sort their contents
-    key = tuple(sorted((tuple(sorted(ideal.generators)), c) for ideal, c in factors))
-    cached = _multiplier_cache.get(key)
-    if cached is not None:
-        return cached
+    return _multiplier(
+        tuple(sorted((tuple(sorted(ideal.generators)), c) for ideal, c in factors)), n
+    )
 
-    scale = math.lcm(*(c.denominator for _, c in factors))
-    weights = [c.numerator * (scale // c.denominator) for _, c in factors]
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _multiplier(key, n):
+    """multiplier_ideal of the product key: sorted (generators, weight) pairs."""
+    scale = math.lcm(*(c.denominator for _, c in key))
+    weights = [c.numerator * (scale // c.denominator) for _, c in key]
     corner = [
         sum(w * m for w, m in zip(weights, col)) // scale + 1
-        for col in zip(*(ideal.max_generator() for ideal, _ in factors))
+        for col in zip(*(map(max, zip(*gens)) for gens, _ in key))
     ]
     prefixes = math.prod(c + 1 for c in corner[:-1])
     if prefixes > MAX_SCAN_PREFIXES:
@@ -351,8 +343,8 @@ def multiplier_ideal(prod):
     flat, last = [], []
     for a in _support_normals(tuple(sorted({gens for gens, _ in key})), n):
         b = sum(
-            w * min(sum(x * y for x, y in zip(a, g)) for g in ideal.generators)
-            for w, (ideal, _) in zip(weights, factors)
+            w * min(sum(x * y for x, y in zip(a, g)) for g in gens)
+            for w, (gens, _) in zip(weights, key)
         )
         t = b // scale + 1 - sum(a)
         (last if a[-1] else flat).append((a[:-1], a[-1], t))
@@ -374,9 +366,7 @@ def multiplier_ideal(prod):
             members.append(v + (h,))
     if not members:
         raise AssertionError("multiplier ideal of a finite product is nonzero")
-    result = MonomialIdeal(n, members)
-    _remember(_multiplier_cache, key, result, CACHE_BOUND)
-    return result
+    return MonomialIdeal(n, members)
 
 
 def lct_monomial(ideal):

@@ -20,7 +20,7 @@ from .arrangements import (
     lct_braid,
     lct_central,
 )
-from .flags import FlagIdealP1, donaldson_futaki, tilde_divisors
+from .flags import FlagIdealP1, UniPoly, donaldson_futaki, tilde_divisors
 from .gamma import (
     SEMISTABLE_NOT_STABLE,
     gamma_at_k,
@@ -35,7 +35,6 @@ from .monomials import (
     multiplier_ideal,
     summation_check,
 )
-from .polynomials import UniPoly
 from .rationals import rat_str
 
 # Expected Donaldson-Futaki values for the fat-point families.

@@ -9,7 +9,7 @@ import pytest
 
 from kstab import SizeError, donaldson_futaki, rat
 from kstab.cli import main
-from kstab.flags import MAX_M, flag_from_json
+from kstab.flags import MAX_M, MAX_POINTS, flag_from_json
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -198,6 +198,20 @@ def test_df_flag_length_cap_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_df_point_count_cap_exits_3(tmp_path):
+    # at s = 481 the first sample needs k*s > MAX_KS, so without the
+    # point cap this exits 3 at once on the scale cap instead
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"divisors": [
+        {f"p{i}": 1 for i in range(MAX_POINTS + 1)}
+    ]}))
+    proc = run_cli("df", "--flag", str(path), "--s", "481")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"limit reached: flag points capped at {MAX_POINTS}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # Fixed flags (M = 1..4, one to three points, fat point 16 and a flag
 # that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
 # and exit code `kstab df --flag F --s S --format FMT` gave for them
@@ -360,6 +374,8 @@ MALFORMED = {
     ),
     "arrangement-n-bool": ("lct-arrangement", {"n": True, "forms": [[1]]}),
     "multiplicity-bool": ("df", {"divisors": [{"p": True}]}),
+    "flag-length-bool": ("df", {"M": True, "divisors": [{"p": 1}]}),
+    "flag-length-float": ("df", {"M": 1.0, "divisors": [{"p": 1}]}),
 }
 
 

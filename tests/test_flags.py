@@ -3,13 +3,14 @@
 The fat-point closed forms asserted here are re-derived from scratch
 by the brute-force composition oracle below before being compared
 with the fast min-plus path and the DF reports.  A blind degree-2
-fit of the counted weights (interpolate, stabilized_fit) is kept
-below as the reference the escalation is compared against.
+fit of the counted weights (interpolate, stabilized_fit), with DF
+taken by the bilinear definition (df_coefficient), is kept below as
+the reference the escalation is compared against.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -19,6 +20,7 @@ from kstab import (
     GridTooShortError,
     InputError,
     PointDivisor,
+    SampleGrid,
     SizeError,
     UniPoly,
     donaldson_futaki,
@@ -31,13 +33,13 @@ from kstab.flags import (
     ESCALATION_BASES,
     MAX_KS,
     MAX_M,
+    MAX_POINTS,
     _closed_form,
     _fit,
     _point_costs,
     _Sweep,
     flag_from_json,
 )
-from kstab.polynomials import SampleGrid, df_coefficient
 from kstab.verification import random_flag_corpus
 
 F = Fraction
@@ -239,6 +241,22 @@ def test_tilde_size_cap(monkeypatch):
             tilde_divisors(POINT, ks)
 
 
+def test_point_count_cap(monkeypatch):
+    # MAX_POINTS reduced points are read; one more is refused before a part step
+    at_cap = FlagIdealP1([{f"p{i}": 1 for i in range(MAX_POINTS)}])
+    assert tilde_divisors(at_cap, 1).divisors[1].degree == MAX_POINTS
+    flag = FlagIdealP1([{f"p{i}": 1 for i in range(MAX_POINTS + 1)}])
+
+    def no_step(costs, rows):
+        raise AssertionError("a part step was taken past the cap")
+
+    monkeypatch.setattr(flags, "_minplus_step", no_step)
+    for call in (tilde_divisors, weight, donaldson_futaki):
+        args = (flag, 1) if call is not weight else (flag, 1, 1)
+        with pytest.raises(SizeError, match=f"points capped at {MAX_POINTS}"):
+            call(*args)
+
+
 def test_weight_size_cap():
     # reduced point: w(k) = -(k^2 + k)/2 at s = 1
     assert weight(POINT, MAX_KS, 1) == -(MAX_KS**2 + MAX_KS) // 2
@@ -337,6 +355,9 @@ def test_df_fractional_s_uses_divisible_grid():
     report = donaldson_futaki(POINT, F(1, 2))
     assert all(k % 2 == 0 for k in report.k_grid.ks())
     assert isinstance(report, DFReport)
+    # the grid's ks are strictly increasing multiples of its base
+    ks, base = report.k_grid.ks(), report.k_grid.base
+    assert all(k % base == 0 for k in ks) and ks == sorted(set(ks))
 
 
 # Flags #18 and #58 of random_flag_corpus(42, 100), the corpus C06 and
@@ -487,6 +508,19 @@ def test_weight_read_stops_at_the_crossing():
 # the reference: the blind fit, escalated with a fresh sweep per base
 
 
+def df_coefficient(w, N, n):
+    """Coefficient of k^(n+1) k'^n in w(k) k' N(k') - w(k') k N(k)."""
+    if n < 0:
+        raise InputError("dimension n must be >= 0")
+    if w.degree > n + 1:
+        raise InputError(f"deg w = {w.degree} exceeds n+1 = {n + 1}")
+    if N.degree != n:
+        raise InputError(f"deg N = {N.degree}, expected exactly n = {n}")
+    # k^(n+1) k'^n comes from w[n+1] k^(n+1) * k' N[n-1] k'^(n-1) in
+    # the first term and from w[n] k'^n * k N[n] k^n in the second
+    return w.coeff(n + 1) * N.coeff(n - 1) - w.coeff(n) * N.coeff(n)
+
+
 def interpolate(samples):
     """Unique polynomial of degree < #samples through all samples.
 
@@ -572,7 +606,7 @@ def oracle_df(flag, s, base, weigh=None):
     ks = [k0 * m for m in multipliers]
     weights = iter([weigh(k) for k in ks] if weigh else _oracle_weights(flag, s, ks))
     grid = SampleGrid(
-        [(k0 * m, F(next(weights))) for m in flags.DEFAULT_MULTIPLIERS], base=k0
+        tuple((k0 * m, F(next(weights))) for m in flags.DEFAULT_MULTIPLIERS), base=k0
     )
     w_poly, onset = stabilized_fit(grid, 2)
     for m, w in zip(flags.REFINE_MULTIPLIERS, weights):
@@ -648,6 +682,55 @@ def test_escalation_matches_the_reference_on_a_sample():
             equal += assert_matches_reference(flag, s, _Sweep(flag, s).weight)
     assert equal == 100
 
+
+
+def small_flags():
+    """Every flag with M <= 3 on one point or an unordered pair of points,
+    multiplicities <= 4 and a nonzero last divisor."""
+    for m in (1, 2, 3):
+        chains = [c for c in combinations_with_replacement(range(5), m) if c[-1]]
+        for i, p in enumerate(chains):
+            yield FlagIdealP1([{"p": a} for a in p])
+            for q in chains[i:]:
+                yield FlagIdealP1([{"p": a, "q": b} for a, b in zip(p, q)])
+
+
+# s -> (least DF0 over small_flags(), how many flags reach DF0 = 0)
+SMALL_FLAG_DF0 = {
+    "1/2": (F(3, 2), 0), "1": (0, 22), "3/2": (0, 22),
+    "2": (0, 141), "3": (0, 145), "5": (0, 183),
+}
+
+
+def test_df0_is_nonnegative_on_every_small_flag():
+    # the paper's DF >= 0 over a whole family, 762 flags at six s, by
+    # the closed form; every 20th flag also through the escalation,
+    # which either exits on a limit (once, at s = 3/2) or reports the same DF0
+    family = list(small_flags())
+    assert len(family) == 762
+    found = {s: (None, 0) for s in SMALL_FLAG_DF0}
+    confirmed = 0
+    for i, flag in enumerate(family):
+        costs = _point_costs(flag)
+        for s, (least, zeros) in found.items():
+            w2, w1 = _closed_form(costs, F(s))
+            df0 = 4 * (w2 - 2 * w1)
+            assert df0 >= 0, (
+                f"counterexample: DF0 = {rat_str(df0)} at s = {s} "
+                f"for {flag.to_json()}"
+            )
+            found[s] = (df0 if least is None else min(least, df0), zeros + (df0 == 0))
+            if i % 20:
+                continue
+            try:
+                report = donaldson_futaki(flag, F(s))
+            except (GridTooShortError, SizeError):
+                continue
+            assert report.DF0 == df0, (flag, s)
+            assert report.DF == df_coefficient(report.w_poly, flags.N_POLY, 1)
+            confirmed += 1
+    assert found == SMALL_FLAG_DF0
+    assert confirmed == 233
 
 def count_steps(monkeypatch):
     steps = []

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -318,25 +319,27 @@ def test_support_normals_give_every_weighted_facet():
     assert zero_weights > 0
 
 
-def test_multiplier_cache_ignores_factor_order(monkeypatch):
-    monkeypatch.setattr(monomials, "_multiplier_cache", {})
+def test_multiplier_cache_ignores_factor_order():
+    monomials._multiplier.cache_clear()
     a = MonomialIdeal(2, [(2, 0), (0, 1)])
     b = MonomialIdeal(2, [(1, 0), (0, 2)])
     first = multiplier_ideal([(a, F(1)), (b, F(1))])
     second = multiplier_ideal([(b, F(1)), (a, F(1))])
-    assert len(monomials._multiplier_cache) == 1
+    assert monomials._multiplier.cache_info().currsize == 1
     assert second is first
 
 
 def test_caches_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(monomials, "CACHE_BOUND", 5)
-    monkeypatch.setattr(monomials, "_multiplier_cache", {})
-    monkeypatch.setattr(monomials, "_normal_cache", {})
+    # the module's caches, rebuilt with a bound of 5 around the same functions
+    for name in ("_multiplier", "_support_normals"):
+        cached = getattr(monomials, name)
+        assert cached.cache_info().maxsize == monomials.CACHE_BOUND
+        monkeypatch.setattr(monomials, name, lru_cache(maxsize=5)(cached.__wrapped__))
     results = []
     for e in range(1, 13):  # twelve products on twelve support sets
         results.append(multiplier_ideal([(MonomialIdeal(2, [(e, 0), (0, 1)]), F(1))]))
-        assert len(monomials._multiplier_cache) <= 5
-        assert len(monomials._normal_cache) <= 5
+        assert monomials._multiplier.cache_info().currsize <= 5
+        assert monomials._support_normals.cache_info().currsize <= 5
     newest = multiplier_ideal([(MonomialIdeal(2, [(12, 0), (0, 1)]), F(1))])
     oldest = multiplier_ideal([(MonomialIdeal(2, [(1, 0), (0, 1)]), F(1))])
     assert newest is results[-1]

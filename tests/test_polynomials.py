@@ -1,7 +1,7 @@
-"""Exact polynomial arithmetic and the DF coefficient.
+"""Exact rationals and polynomials, and the DF coefficient.
 
-The interpolation and blind-fit tests check the reference fit that
-tests/test_flags.py compares the DF escalation against.
+The interpolation, blind-fit and df_coefficient tests check the
+reference that tests/test_flags.py compares the DF reports against.
 """
 
 import random
@@ -13,15 +13,13 @@ from kstab import (
     GridTooShortError,
     InputError,
     MultiPoly,
-    SampleGrid,
     SizeError,
     UniPoly,
     det_symbolic,
-    df_coefficient,
     rat,
     rat_str,
 )
-from test_flags import interpolate, stabilized_fit
+from test_flags import df_coefficient, interpolate, stabilized_fit
 
 F = Fraction
 
@@ -91,20 +89,6 @@ def test_interpolate_rejects_duplicates_and_tiny_input():
         interpolate([(1, 2), (1, 3)])
     with pytest.raises(InputError):
         interpolate([(1, 2)])
-
-
-# ---------------------------------------------------------------------------
-# sample grids
-
-
-def test_grid_base_divisibility_enforced():
-    SampleGrid([(6, 1), (12, 2)], base=6)
-    with pytest.raises(InputError):
-        SampleGrid([(6, 1), (8, 2)], base=6)
-    with pytest.raises(InputError):
-        SampleGrid([(4, 1), (2, 2)])  # not increasing
-    with pytest.raises(InputError):
-        SampleGrid([(-1, 1), (2, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""The README's Library block runs as written and gives the values its
+comments state, so a moved or renamed public name breaks a test."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+from kstab import MonomialIdeal
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def library_block():
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block():
+    block = library_block()
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            expr = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values.append(eval(expr, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    xy = MonomialIdeal(2, [(1, 0), (0, 1)])
+    assert values == [Fraction(2, 7), "semistable_not_stable", xy, Fraction(2)]
+    lines = block.splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in lines if "#" in line]
+    assert comments == [
+        "Fraction(2, 7)", '"semistable_not_stable"', "the ideal (x, y)", "Fraction(2)",
+    ]
