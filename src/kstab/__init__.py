@@ -54,13 +54,13 @@ from .monomials import (
     NewtonPolyhedron,
     SummationResult,
     WeightedIdealProduct,
-    law_checks,
     lct_monomial,
     multiplier_ideal,
     newton_polyhedron,
     summation_check,
 )
 from .rationals import rat, rat_str
+from .verification import law_checks
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,10 +12,10 @@ proved in lct_braid.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .errors import InputError, SizeError
-from .rationals import rat, rat_str
+from .rationals import primitive, rat, rat_str
 
 MAX_CANDIDATES = 2 ** 20
 MAX_BRAID_G = 1000
@@ -23,18 +23,22 @@ MAX_BRAID_G = 1000
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A nonzero linear form, normalized so its first nonzero entry is 1."""
+    """A nonzero linear form as its primitive integer row.
+
+    Denominators are cleared and the entries divided by their gcd,
+    with the first nonzero entry positive, so proportional forms are
+    equal.
+    """
 
     coefficients: tuple
 
     def __init__(self, coefficients):
-        coeffs = tuple(rat(c) for c in coefficients)
-        lead = next((c for c in coeffs if c != 0), None)
-        if lead is None:
+        coeffs = [rat(c) for c in coefficients]
+        if not any(coeffs):
             raise InputError("the zero form does not define a hyperplane")
-        object.__setattr__(
-            self, "coefficients", tuple(c / lead for c in coeffs)
-        )
+        scale = lcm(*(c.denominator for c in coeffs))
+        row = primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+        object.__setattr__(self, "coefficients", row)
 
     @property
     def dim(self):
@@ -70,18 +74,19 @@ class Flat:
     """An intersection subspace with its lattice statistics.
 
     member_indices is the maximal set of hyperplanes containing the
-    flat, rank its codimension, count == len(member_indices).
+    flat, rank its codimension, count the number of members.
     """
 
     member_indices: frozenset
     rank: int
-    count: int
 
     def __post_init__(self):
-        if self.count != len(self.member_indices):
-            raise InputError("count must equal the number of members")
-        if self.rank < 1 or self.count < 1:
+        if self.rank < 1 or not self.member_indices:
             raise InputError("flat must have rank >= 1 and count >= 1")
+
+    @property
+    def count(self):
+        return len(self.member_indices)
 
     @property
     def ratio(self):
@@ -110,43 +115,28 @@ class LctCertificate:
         }
 
 
-def _primitive(row):
-    """A nonzero integer row divided by the gcd of its entries, with
-    its first nonzero entry made positive."""
-    divisor = gcd(*row)
-    if next(x for x in row if x) < 0:
-        divisor = -divisor
-    return tuple(x // divisor for x in row)
-
-
-def _integer_row(coefficients):
-    """The primitive integer row proportional to a rational form."""
-    scale = lcm(*(c.denominator for c in coefficients))
-    return _primitive([c.numerator * (scale // c.denominator) for c in coefficients])
-
-
 def intersection_lattice(arr):
     """All flats of the arrangement, ambient space excluded.
 
     Closure by joins, with each flat keyed by its closed member set.
-    Denominators are cleared once, so every form is a primitive
-    integer row.  A flat carries the residual of each non-member
-    form: a nonzero multiple of the form minus an element of the
-    flat's span, zero on the pivot column of every join so far,
-    primitive and with a positive leading entry.  Two non-members
-    give the same join exactly when their residuals are
-    proportional, hence equal, so the non-members fall into classes,
-    one per covering flat, and a hyperplane absorbed by an earlier
-    join from the same flat is never joined again.  Joining the
-    class of r reduces every other residual s by one fraction-free
-    step, r[p] * s - s[p] * r at r's first nonzero column p, divided
-    by its gcd; none of these vanish, since only the class of r
-    joins.  Every join counts as one candidate; more than
-    MAX_CANDIDATES of them raise SizeError.
+    Every form is read as its primitive integer row,
+    LinearForm.coefficients, so the lattice is built in integers.  A
+    flat carries the residual of each non-member form: a nonzero
+    multiple of the form minus an element of the flat's span, zero on
+    the pivot column of every join so far, primitive and with a
+    positive leading entry.  Two non-members give the same join
+    exactly when their residuals are proportional, hence equal, so the
+    non-members fall into classes, one per covering flat, and a
+    hyperplane absorbed by an earlier join from the same flat is never
+    joined again.  Joining the class of r reduces every other residual
+    s by one fraction-free step, r[p] * s - s[p] * r at r's first
+    nonzero column p, divided by its gcd; none of these vanish, since
+    only the class of r joins.  Every join counts as one candidate;
+    more than MAX_CANDIDATES of them raise SizeError.
     """
     ambient = {}
     for i, f in enumerate(arr.forms):
-        ambient.setdefault(_integer_row(f.coefficients), []).append(i)
+        ambient.setdefault(f.coefficients, []).append(i)
 
     ranks = {}
     stack = [(frozenset(), 0, ambient)]
@@ -170,14 +160,11 @@ def intersection_lattice(arr):
                 if s == r:
                     continue
                 if s[p]:
-                    s = _primitive([r[p] * x - s[p] * y for x, y in zip(s, r)])
+                    s = primitive([r[p] * x - s[p] * y for x, y in zip(s, r)])
                 residuals.setdefault(s, []).extend(others)
             stack.append((closed, rank + 1, residuals))
 
-    flats = [
-        Flat(member_indices=members, rank=rk, count=len(members))
-        for members, rk in ranks.items()
-    ]
+    flats = [Flat(member_indices=members, rank=rk) for members, rk in ranks.items()]
     flats.sort(key=Flat.sort_key)
     return flats
 
@@ -239,8 +226,7 @@ def lct_braid(g):
         raise InputError("lct_braid requires g >= 2")
     if g > MAX_BRAID_G:
         raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
-    count = comb(g, 2)
-    diagonal = Flat(member_indices=frozenset(range(count)), rank=g - 1, count=count)
+    diagonal = Flat(member_indices=frozenset(range(comb(g, 2))), rank=g - 1)
     return LctCertificate(value=Fraction(2, g), minimizers=(diagonal,))
 
 

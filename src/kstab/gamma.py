@@ -14,7 +14,7 @@ polynomials (MultiPoly, det_symbolic) against the Vandermonde product.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import lct_braid
+from .arrangements import MAX_BRAID_G, lct_braid
 from .errors import InputError, SizeError
 from .rationals import rat, rat_str
 
@@ -213,10 +213,13 @@ def gamma_report(k_max):
 
     The sample sequence 2k/(2k+1) is strictly increasing with limit
     1, so the invariant is 1 exactly, independent of where the
-    sampling is truncated.
+    sampling is truncated.  The last sample needs lct_braid at
+    g = 2 * k_max + 1, so k_max past its cap fails before any sample.
     """
     if k_max < 1:
         raise InputError("k_max must be >= 1")
+    if 2 * k_max + 1 > MAX_BRAID_G:
+        raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
     samples = [gamma_at_k(k) for k in range(1, k_max + 1)]
     gamma = Fraction(1)
     return {

@@ -8,9 +8,9 @@ normals of that sum depend only on which ideals carry a positive
 weight, so they are computed once per support set.  Scaled by the
 lcm of the weight denominators, the test runs in integers, one
 closed-form staircase step per prefix of a bounded box.  That makes
-this module an exact, independent oracle for the multiplier-ideal
-laws used elsewhere, including the summation formula over rational
-exponent splittings.
+this module an exact, independent oracle for multiplier ideals,
+including the summation formula over rational exponent splittings.
+The seeded law corpus that exercises it is verification.law_checks.
 """
 
 import math
@@ -20,11 +20,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InconclusiveError, InputError, SizeError
-from .rationals import rat, rat_str
+from .rationals import primitive, rat
 
 MAX_ARITY = 4
 MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
+MAX_HULL_CANDIDATES = 2 ** 16  # candidate normals one hull enumeration may try
 
 
 def _minimalize(gens):
@@ -100,11 +101,6 @@ class MonomialIdeal:
         }
         return MonomialIdeal(self.arity, gens)
 
-    def max_generator(self):
-        return tuple(
-            max(g[j] for g in self.generators) for j in range(self.arity)
-        )
-
     def sorted_generators(self):
         return sorted(self.generators)
 
@@ -149,14 +145,6 @@ class WeightedIdealProduct:
         if not self.factors:
             raise InputError("empty product has no arity")
         return self.factors[0][0].arity
-
-    def to_json(self):
-        return {
-            "factors": [
-                {"ideal": ideal.to_json(), "c": rat_str(c)}
-                for ideal, c in self.factors
-            ]
-        }
 
 
 @dataclass(frozen=True)
@@ -210,29 +198,39 @@ def hull_inequalities(points, n):
     differences of |F| distinct minimal projections, kept when every
     entry is nonzero with one sign.  A candidate is a facet when its
     |F| points attain the least value of <a, .> over all the points,
-    and that value is positive.
+    and that value is positive.  The candidates number
+    sum_F C(|proj_F|, |F|); more than MAX_HULL_CANDIDATES of them
+    raise SizeError before any is tried.
     """
     if not points:
         raise InputError("hull needs at least one point")
+    projections = [
+        (free, sorted(_minimalize(tuple(p[i] for i in free) for p in points)))
+        for d in range(1, n + 1)
+        for free in combinations(range(n), d)
+    ]
+    candidates = sum(math.comb(len(proj), len(free)) for free, proj in projections)
+    if candidates > MAX_HULL_CANDIDATES:
+        raise SizeError(
+            f"hull enumeration capped at {MAX_HULL_CANDIDATES} candidate normals "
+            f"(these points need {candidates})"
+        )
     facets = set()
-    for d in range(1, n + 1):
-        for free in combinations(range(n), d):
-            proj = sorted(_minimalize(tuple(p[i] for i in free) for p in points))
-            low = {}  # candidate normal on F -> least value over the points
-            for base, *rest in combinations(proj, d):
-                normal = _cross([tuple(a - b for a, b in zip(p, base)) for p in rest])
-                if not (all(x > 0 for x in normal) or all(x < 0 for x in normal)):
-                    continue
-                g = math.gcd(*normal) if normal[0] > 0 else -math.gcd(*normal)
-                normal = tuple(x // g for x in normal)
-                b = low.get(normal)
-                if b is None:
-                    b = low[normal] = min(
-                        sum(x * y for x, y in zip(normal, p)) for p in proj
-                    )
-                if b > 0 and sum(x * y for x, y in zip(normal, base)) == b:
-                    lift = dict(zip(free, normal))
-                    facets.add((tuple(lift.get(i, 0) for i in range(n)), b))
+    for free, proj in projections:
+        low = {}  # candidate normal on F -> least value over the points
+        for base, *rest in combinations(proj, len(free)):
+            normal = _cross([tuple(a - b for a, b in zip(p, base)) for p in rest])
+            if not (all(x > 0 for x in normal) or all(x < 0 for x in normal)):
+                continue
+            normal = primitive(normal)
+            b = low.get(normal)
+            if b is None:
+                b = low[normal] = min(
+                    sum(x * y for x, y in zip(normal, p)) for p in proj
+                )
+            if b > 0 and sum(x * y for x, y in zip(normal, base)) == b:
+                lift = dict(zip(free, normal))
+                facets.add((tuple(lift.get(i, 0) for i in range(n)), b))
     return tuple(sorted(facets))
 
 
@@ -456,100 +454,3 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-# ---------------------------------------------------------------------------
-# law checks on seeded random corpora
-
-
-def _random_ideal(rng, arity, max_gens=4, max_exp=3, allow_unit=False):
-    while True:
-        count = rng.randint(1, max_gens)
-        gens = [
-            tuple(rng.randint(0, max_exp) for _ in range(arity))
-            for _ in range(count)
-        ]
-        ideal = MonomialIdeal(arity, gens)
-        if allow_unit or not ideal.is_unit():
-            return ideal
-
-
-def _random_exponent(rng):
-    q = rng.randint(1, 6)
-    p = rng.randint(0, 2 * q)
-    return Fraction(p, q)
-
-
-def _embed(ideal, arity, offset):
-    gens = [
-        (0,) * offset + g + (0,) * (arity - offset - ideal.arity)
-        for g in ideal.generators
-    ]
-    return MonomialIdeal(arity, gens)
-
-
-def law_checks(seed, count):
-    """Exercise the divisor-factoring, monotonicity, and product laws.
-
-    Returns a per-law report with pass/fail and the first
-    counterexample instance, if any.
-    """
-    import random
-
-    report = {}
-
-    def run(name, one_case):
-        rng = random.Random(f"{seed}:{name}")
-        failures = []
-        for i in range(count):
-            instance, ok = one_case(rng)
-            if not ok:
-                failures.append(instance)
-        report[name] = {"pass": not failures, "counterexamples": failures[:3]}
-
-    def divisor_factoring(rng):
-        arity = rng.randint(1, 3)
-        a = _random_ideal(rng, arity)
-        c = _random_exponent(rng)
-        d = tuple(rng.randint(0, 2) for _ in range(arity))
-        principal = MonomialIdeal.principal(d)
-        lhs = multiplier_ideal([(principal, Fraction(1)), (a, c)])
-        rhs = principal * multiplier_ideal([(a, c)])
-        instance = {"a": a.to_json(), "c": rat_str(c), "d": list(d)}
-        return instance, lhs == rhs
-
-    def monotonicity(rng):
-        arity = rng.randint(1, 3)
-        b = _random_ideal(rng, arity)
-        a = b * _random_ideal(rng, arity, allow_unit=False)
-        c = _random_exponent(rng)
-        inner = multiplier_ideal([(a, c)])
-        outer = multiplier_ideal([(b, c)])
-        instance = {"a": a.to_json(), "b": b.to_json(), "c": rat_str(c)}
-        return instance, inner.issubset(outer)
-
-    def block_product(rng):
-        n1 = rng.randint(1, 2)
-        n2 = rng.randint(1, 2)
-        arity = n1 + n2
-        a = _random_ideal(rng, n1)
-        b = _random_ideal(rng, n2)
-        c1 = _random_exponent(rng)
-        c2 = _random_exponent(rng)
-        ea, eb = _embed(a, arity, 0), _embed(b, arity, n1)
-        lhs = multiplier_ideal([(ea, c1), (eb, c2)])
-        rhs = _embed(multiplier_ideal([(a, c1)]), arity, 0) * _embed(
-            multiplier_ideal([(b, c2)]), arity, n1
-        )
-        instance = {
-            "a": a.to_json(),
-            "b": b.to_json(),
-            "c": rat_str(c1),
-            "c_prime": rat_str(c2),
-        }
-        return instance, lhs == rhs
-
-    run("divisor_factoring", divisor_factoring)
-    run("monotonicity", monotonicity)
-    run("block_product", block_product)
-    return report

@@ -3,10 +3,12 @@
 Every rational in JSON output is the string "p/q" (or just "p" when
 q = 1), with the sign on the numerator.  fractions.Fraction already
 keeps gcd(|p|, q) = 1 and q > 0, which is exactly the invariant we
-need, so we use it directly instead of a bespoke class.
+need, so we use it directly instead of a bespoke class.  A rational
+direction (a hyperplane, a facet normal) is kept as primitive(row).
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 
@@ -35,3 +37,12 @@ def rat_str(value) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def primitive(row):
+    """A nonzero integer row divided by the gcd of its entries, with
+    its first nonzero entry made positive."""
+    divisor = gcd(*row)
+    if next(x for x in row if x) < 0:
+        divisor = -divisor
+    return tuple(x // divisor for x in row)

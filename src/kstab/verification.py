@@ -6,6 +6,9 @@ counting (see the test suite), "known value" entries are classical
 identities, and "property" entries are laws checked on seeded random
 corpora.  The `verify` CLI command and the acceptance tests both run
 these suites.
+The seeded corpora live here, each on its own string-seeded
+random.Random stream: flags, summation instances, and the
+multiplier-ideal laws (law_checks).
 """
 
 import random
@@ -30,7 +33,6 @@ from .gamma import (
 )
 from .monomials import (
     MonomialIdeal,
-    law_checks,
     lct_monomial,
     multiplier_ideal,
     summation_check,
@@ -246,6 +248,88 @@ def check_summation(quick=False, seed=42, **_):
                 f"lhs {result.lhs.to_json()} rhs {result.rhs.to_json()}"
             )
     return True, f"splitting identity on {len(instances)} instances"
+
+
+def _random_ideal(rng, arity):
+    """A seeded proper ideal: 1..4 generators with exponents <= 3."""
+    while True:
+        count = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(count)]
+        ideal = MonomialIdeal(arity, gens)
+        if not ideal.is_unit():
+            return ideal
+
+
+def _random_exponent(rng):
+    q = rng.randint(1, 6)
+    return Fraction(rng.randint(0, 2 * q), q)
+
+
+def _embed(ideal, arity, offset):
+    pad = (0,) * (arity - offset - ideal.arity)
+    return MonomialIdeal(arity, [(0,) * offset + g + pad for g in ideal.generators])
+
+
+def law_checks(seed, count):
+    """Exercise the divisor-factoring, monotonicity, and product laws.
+
+    Returns a per-law report with pass/fail and the first
+    counterexample instance, if any.
+    """
+    report = {}
+
+    def run(name, one_case):
+        rng = random.Random(f"{seed}:{name}")
+        cases = [one_case(rng) for _ in range(count)]
+        failures = [instance for instance, ok in cases if not ok]
+        report[name] = {"pass": not failures, "counterexamples": failures[:3]}
+
+    def divisor_factoring(rng):
+        arity = rng.randint(1, 3)
+        a = _random_ideal(rng, arity)
+        c = _random_exponent(rng)
+        d = tuple(rng.randint(0, 2) for _ in range(arity))
+        principal = MonomialIdeal.principal(d)
+        lhs = multiplier_ideal([(principal, Fraction(1)), (a, c)])
+        rhs = principal * multiplier_ideal([(a, c)])
+        instance = {"a": a.to_json(), "c": rat_str(c), "d": list(d)}
+        return instance, lhs == rhs
+
+    def monotonicity(rng):
+        arity = rng.randint(1, 3)
+        b = _random_ideal(rng, arity)
+        a = b * _random_ideal(rng, arity)
+        c = _random_exponent(rng)
+        inner = multiplier_ideal([(a, c)])
+        outer = multiplier_ideal([(b, c)])
+        instance = {"a": a.to_json(), "b": b.to_json(), "c": rat_str(c)}
+        return instance, inner.issubset(outer)
+
+    def block_product(rng):
+        n1 = rng.randint(1, 2)
+        n2 = rng.randint(1, 2)
+        arity = n1 + n2
+        a = _random_ideal(rng, n1)
+        b = _random_ideal(rng, n2)
+        c1 = _random_exponent(rng)
+        c2 = _random_exponent(rng)
+        ea, eb = _embed(a, arity, 0), _embed(b, arity, n1)
+        lhs = multiplier_ideal([(ea, c1), (eb, c2)])
+        rhs = _embed(multiplier_ideal([(a, c1)]), arity, 0) * _embed(
+            multiplier_ideal([(b, c2)]), arity, n1
+        )
+        instance = {
+            "a": a.to_json(),
+            "b": b.to_json(),
+            "c": rat_str(c1),
+            "c_prime": rat_str(c2),
+        }
+        return instance, lhs == rhs
+
+    run("divisor_factoring", divisor_factoring)
+    run("monotonicity", monotonicity)
+    run("block_product", block_product)
+    return report
 
 
 def check_multiplier_laws(quick=False, seed=42, **_):

@@ -127,8 +127,9 @@ def partition_flat(g, blocks):
         for block in blocks
         for a, b in combinations(sorted(block), 2)
     )
-    count = sum(comb(len(b), 2) for b in blocks)
-    return Flat(member_indices=members, rank=g - len(blocks), count=count)
+    flat = Flat(member_indices=members, rank=g - len(blocks))
+    assert flat.count == sum(comb(len(b), 2) for b in blocks)
+    return flat
 
 
 def braid_flats(g):
@@ -146,8 +147,22 @@ def braid_flats(g):
 
 def test_forms_are_normalized():
     assert LinearForm(["2", 0, "-4"]) == LinearForm([1, 0, -2])
+    # each form is its primitive integer row, first nonzero entry positive
+    form = LinearForm(["1/2", "1/3"])
+    assert form == LinearForm([-3, -2])
+    assert form.coefficients == (3, 2)
+    assert all(type(c) is int for c in form.coefficients)
+    assert LinearForm([0, "-4/6", 2]).coefficients == (0, 1, -3)
     with pytest.raises(InputError):
         LinearForm([0, 0])
+
+
+def test_flat_count_is_derived():
+    assert Flat(frozenset({0, 1}), 1).count == 2
+    with pytest.raises(InputError):
+        Flat(frozenset(), 1)
+    with pytest.raises(InputError):
+        Flat(frozenset({0}), 0)
 
 
 def test_arrangement_must_be_reduced():

@@ -4,12 +4,14 @@ import json
 import pathlib
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
-from kstab import SizeError, donaldson_futaki, rat
+from kstab import SizeError, donaldson_futaki, gamma, monomials, rat
 from kstab.cli import main
 from kstab.flags import MAX_M, MAX_POINTS, flag_from_json
+from kstab.monomials import MAX_HULL_CANDIDATES
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -65,6 +67,18 @@ def test_lct_arrangement_from_file(tmp_path):
     ]
 
 
+ARR_DATA = pathlib.Path(__file__).parent / "data" / "arrangements"
+ARR_EXPECTED = json.loads((ARR_DATA / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ARR_EXPECTED))
+def test_lct_arrangement_checked_in_outputs(name, capsys):
+    for fmt, expected in ARR_EXPECTED[name].items():
+        code = main(["lct-arrangement", "--file", str(ARR_DATA / name), "--format", fmt])
+        out = capsys.readouterr()
+        assert {"exit": code, "stdout": out.out, "stderr": out.err} == expected, fmt
+
+
 def test_lct_arrangement_from_stdin():
     payload = json.dumps({"n": 2, "forms": [["1", "1/2"]]})
     data = run_json("lct-arrangement", "--file", "-", stdin=payload)
@@ -108,6 +122,18 @@ def test_gamma_k_is_capped_only_by_lct_braid():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def test_gamma_k_max_cap_exits_3_before_sampling(monkeypatch, capsys):
+    def no_sample(k):
+        raise AssertionError(f"sampled k = {k} past the cap")
+
+    monkeypatch.setattr(gamma, "gamma_at_k", no_sample)
+    code = main(["gamma-p1", "--k-max", "500"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (
+        3, "", "limit reached: lct_braid capped at g = 1000\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +332,33 @@ def test_check_summation_scan_cap_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # a0 is the 84 monomials of degree 6 in 4 variables: its hull with
+    # the part would try about 1.9 million candidate normals
+    def no_cross(vectors):
+        raise AssertionError("hull enumeration started past its cap")
+
+    monkeypatch.setattr(monomials, "_cross", no_cross)
+    gens = [g for g in product(range(7), repeat=4) if sum(g) == 6]
+    path = tmp_path / "hull.json"
+    path.write_text(
+        json.dumps(
+            {
+                "a0": {"n": 4, "generators": gens},
+                "c0": 1,
+                "parts": [{"n": 4, "generators": [[1, 0, 0, 0]]}],
+                "c": 1,
+            }
+        )
+    )
+    code = main(["check-summation", "--file", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith(
+        f"limit reached: hull enumeration capped at {MAX_HULL_CANDIDATES} "
+    )
+
+
 def test_check_summation_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a0": {"n": 1, "generators": [[0]]}}))
@@ -340,6 +393,16 @@ def test_verify_quick_deterministic():
     ]
     # per-criterion timings go to stderr only
     assert "PASS" in first.stderr
+
+
+VERIFY_DATA = pathlib.Path(__file__).parent / "data" / "verify"
+
+
+@pytest.mark.parametrize("name,extra", [("quick.json", ["--quick"]), ("full.json", [])])
+def test_verify_checked_in_outputs(name, extra, capsys):
+    code = main(["verify", "--seed", "42", *extra])
+    assert code == 0
+    assert capsys.readouterr().out == (VERIFY_DATA / name).read_text()
 
 
 def test_text_format_rendering():

@@ -16,6 +16,7 @@ from kstab import (
     vandermonde_product,
     veronese_determinant,
 )
+from kstab import gamma
 from kstab.gamma import gamma_report_json
 
 F = Fraction
@@ -67,6 +68,17 @@ def test_gamma_input_contracts():
         gamma_at_k(0)
     with pytest.raises(SizeError):
         gamma_at_k(500)  # N = 1001 is over lct_braid's cap
+
+
+def test_report_cap_fails_before_any_sample(monkeypatch):
+    def no_sample(k):
+        raise AssertionError(f"sampled k = {k} past the cap")
+
+    monkeypatch.setattr(gamma, "gamma_at_k", no_sample)
+    with pytest.raises(SizeError, match=r"^lct_braid capped at g = 1000$"):
+        gamma_report(500)  # its last sample needs N = 1001
+    monkeypatch.setattr(gamma, "gamma_at_k", lambda k: k)
+    assert gamma_report(499)["samples"] == list(range(1, 500))  # N = 999
 
 
 def test_verdict_thresholds():

@@ -103,6 +103,36 @@ def test_polyhedron_arity_cap():
         newton_polyhedron(MonomialIdeal.unit(5))
 
 
+def degree_monomials(n, d):
+    return [g for g in product(range(d + 1), repeat=n) if sum(g) == d]
+
+
+def no_cross(vectors):
+    raise AssertionError("hull enumeration started past its cap")
+
+
+def test_hull_candidate_cap(monkeypatch):
+    # the 84 monomials of degree 6 in 4 variables: C(84, 4) = 1,929,501
+    # candidate normals on the full free set and one on each single
+    # coordinate, about a minute to enumerate
+    monkeypatch.setattr(monomials, "_cross", no_cross)
+    ideal = MonomialIdeal(4, degree_monomials(4, 6))
+    with pytest.raises(SizeError, match="capped at 65536 .*need 1929505\\)$"):
+        multiplier_ideal([(ideal, 1)])
+    with pytest.raises(SizeError, match="capped at 65536"):
+        lct_monomial(ideal)
+
+
+def test_hull_candidate_count(monkeypatch):
+    # free sets {0} and {1}: one minimal projection each; {0, 1}: C(3, 2)
+    points = [(0, 2), (1, 1), (2, 0)]
+    monkeypatch.setattr(monomials, "MAX_HULL_CANDIDATES", 5)
+    assert hull_inequalities(points, 2) == (((1, 1), 2),)
+    monkeypatch.setattr(monomials, "MAX_HULL_CANDIDATES", 4)
+    with pytest.raises(SizeError, match="need 5"):
+        hull_inequalities(points, 2)
+
+
 def test_polyhedron_valid_and_tight_on_generators():
     rng = random.Random("newton")
     for _ in range(15):
