@@ -8,6 +8,8 @@ flag-ideal configurations, whose reports carry their weights as
 SampleGrid and UniPoly.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arrangements import (
     CentralArrangement,
     Flat,
@@ -62,5 +64,6 @@ from .monomials import (
 from .rationals import rat, rat_str
 from .verification import law_checks
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

@@ -222,12 +222,18 @@ def lct_braid(g):
     rank g - 1.  g is capped at MAX_BRAID_G, since the certificate
     lists every hyperplane.
     """
+    value = lct_braid_value(g)
+    diagonal = Flat(member_indices=frozenset(range(comb(g, 2))), rank=g - 1)
+    return LctCertificate(value=value, minimizers=(diagonal,))
+
+
+def lct_braid_value(g):
+    """lct_braid(g).value, with its checks on g, without the certificate."""
     if g < 2:
         raise InputError("lct_braid requires g >= 2")
     if g > MAX_BRAID_G:
         raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
-    diagonal = Flat(member_indices=frozenset(range(comb(g, 2))), rank=g - 1)
-    return LctCertificate(value=Fraction(2, g), minimizers=(diagonal,))
+    return Fraction(2, g)
 
 
 def diagonal_discrepancy(g, c):

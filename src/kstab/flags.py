@@ -8,15 +8,16 @@ the k^2 and k coefficients of w, which come in closed form from the
 lower convex envelopes of the flag's multiplicities, and DF = w2 - 2 w1
 is read straight off them.  The counted weights confirm them and fill
 the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
-w_poly with its constant term.  One forward min-plus sweep per
-(flag, s) serves every k a call samples, each part step convolving
-only the band of a row that a new part can still change.  Everything
-here runs on exact integers and rationals.
+w_poly with its constant term.  One short min-plus sweep per (flag, s)
+serves every k a call samples: a part step convolves only the band of
+a row that a new part can change, and the sweep stops once its rows
+certify their own stretch.  Everything here is exact.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
@@ -233,15 +234,16 @@ def _parts(k, s):
 
 
 class _Sweep:
-    """Total weights w(k) of one flag at one s, from one forward sweep.
+    """Total weights w(k) of one flag at one s: a short sweep, then stretches.
 
     dim F_j = h^0(P^1, O(2k)(-tilde_D_j)) = max(0, N - deg_j) with
     N = 2k + 1, and w = sum_{j=1..M*ks} dim F_j - N*M*ks, so
     w(k) = -sum_{j=1..M*ks} min(N, deg_j) with deg_j the sum of the
     per-point min-plus rows at j after ks parts (row[0] = 0 adds
-    nothing).  The rows only ever gain parts: passing n = k*s records
-    w(k) for every integral k on the way, so a later query at a
-    smaller k is a lookup and a larger one resumes from the last row.
+    nothing).  Each part is stepped once, recording w(k) at each
+    integral k on the way, until _certify passes the rows at n0 parts;
+    then an asked k is read off them stretched by n - n0 periods, and
+    kept.  Rows that never certify are stepped on.
 
     Each row is nondecreasing in j: the costs of a valid flag are, so
     lowering one nonzero part of an optimum for j + 1 gives n parts
@@ -256,37 +258,113 @@ class _Sweep:
         self._rows = [[0] for _ in self._costs]
         self._n = 0
         self._w = {}
+        self._certified = None  # (n0, the rows at n0, each point's cuts)
 
     def weight(self, k):
         n = _parts(k, self.s)
-        if n > self._n:
+        if n > self._n and self._certified is None:
             self._advance(n)
+        if k not in self._w:
+            n0, rows, cuts = self._certified
+            N = 2 * k + 1
+            stretched = [_stretch(*point, n - n0, N) for point in zip(rows, cuts)]
+            self._w[k] = _total_weight(stretched, N, (len(self._costs[0]) - 1) * n + 1)
         return self._w[k]
 
     def _advance(self, n):
         num, den = self.s.numerator, self.s.denominator
-        costs, rows = self._costs, self._rows
-        for parts in range(self._n + 1, n + 1):
-            rows = _minplus_step(costs, rows)
-            if parts % num == 0:
-                k = parts // num * den
-                self._w[k] = _total_weight(rows, 2 * k + 1)
-        self._rows, self._n = rows, n
+        while self._n < n and self._certified is None:
+            stepped = _minplus_step(self._costs, self._rows)
+            cuts = _certify(self._costs, self._rows, stepped)
+            if cuts is not None:
+                self._certified = (self._n, self._rows, cuts)
+            self._rows, self._n = stepped, self._n + 1
+            if self._n % num == 0:
+                k = self._n // num * den
+                self._w[k] = _total_weight(stepped, 2 * k + 1)
 
 
-def _total_weight(rows, N):
+def _certify(costs, rows, stepped):
+    """Each point's cuts (q, L, rise) if the rows certify their stretch.
+
+    rows are the min-plus rows R at n parts, stepped those at n + 1.
+    Each envelope segment [a, b] of a point's costs c (L = b - a, rise
+    = c(b) - c(a)) gets the cut q = n a + floor(n L / 2), and I_d(R)
+    (_stretch) copies R[q - L:q] d times before R[q:] at every cut,
+    each copy and all after it lifted by rise more.  The rows pass if
+    at every cut (S) q - M - L >= q', the point's previous cut or 0,
+    and (P) R[y] = R[y - L] + rise for y in [q - M, q), and at every
+    point (C) stepped = I_1(R).  Then the rows at n + d parts are
+    I_d(R) for every d >= 0.
+
+    Proof.  step(X)[j] = min_t X[j - t] + c(t), t = 0..M, with entries
+    outside a row infinite.
+    1. step(I_d(R)) = I_d(step(R)).  Let I(X)[x] = X[x] for x < q and
+       X[x - L] + rise for x >= q insert one period.  For j < q the
+       step reads only entries left of q.  For j >= q it reads j - t >=
+       q - M, where I(R)[j - t] = R[j - t - L] + rise by definition or
+       by (P), so step(I(R))[j] = step(R)[j - L] + rise = I(step(R))[j].
+       I(R) equals R left of q, so (P) holds for the next insertion, at
+       the same or an earlier cut.
+    2. I_d(I_1(R)) = I_{d+1}(R), the outer I_d cutting at the same
+       numbers q.  By (S), I_1(R) holds R[q - a - L:q] shifted by a
+       (the length of the earlier segments, a <= M) under one lift, so
+       by (P) it is periodic on [q, q + a).  A period inserted anywhere
+       in a periodic run gives the same row: cutting at q is cutting at
+       q + a, next to the period I_1 inserted.
+    By (C) the rows at n + 1 are I_1(R); if those at n + d are I_d(R),
+    those at n + d + 1 are step(I_d(R)) = I_d(step(R)) = I_d(I_1(R)) =
+    I_{d+1}(R).  No onset needs proving: the rows check themselves.
+    """
+    M = len(costs[0]) - 1
+    n = (len(rows[0]) - 1) // M
+    found = []
+    for cost, row, nxt in zip(costs, rows, stepped):
+        cuts, last = [], 0
+        for a, b in pairwise(_lower_hull(cost)):
+            L, rise = b - a, cost[b] - cost[a]
+            q = n * a + n * L // 2
+            if q - M - L < last or any(row[y] != row[y - L] + rise
+                                       for y in range(q - M, q)):
+                return None
+            cuts.append((q, L, rise))
+            last = q
+        if _stretch(row, cuts, 1, _INF) != nxt:
+            return None
+        found.append(cuts)
+    return found
+
+
+def _stretch(row, cuts, d, cap):
+    """row with d periods inserted at every cut (see _certify), built
+    only up to its first entry >= cap, as the row is nondecreasing."""
+    out, lift, start = [], 0, 0
+    for q, L, rise in cuts:
+        out += [x + lift for x in row[start:q]]
+        if out[-1] >= cap:
+            return out
+        period = row[q - L:q]
+        copies = d if rise == 0 else min(d, -((lift + period[0] - cap) // rise))
+        out += [x + lift + t * rise for t in range(1, copies + 1) for x in period]
+        lift, start = lift + d * rise, q
+        if out[-1] >= cap:
+            return out
+    return out + [x + lift for x in row[start:]]
+
+
+def _total_weight(rows, N, size=None):
     """-sum_j min(N, deg_j), deg the column sum of nondecreasing rows.
 
     Costs are nonnegative, so deg_j >= rows[p][j] for every point and
     deg reaches N no later than the first row to reach it: the rows
-    are added only up to there.
+    are added only up to there, and may stop there if size is given.
     """
     cut = min(bisect_left(row, N) for row in rows)
     deg = rows[0][:cut]
     for row in rows[1:]:
         deg = list(map(add, deg, row))
     cross = bisect_left(deg, N)
-    return -(sum(deg[:cross]) + N * (len(rows[0]) - cross))
+    return -(sum(deg[:cross]) + N * ((size or len(rows[0])) - cross))
 
 
 def weight(flag, k, s):

@@ -14,7 +14,7 @@ polynomials (MultiPoly, det_symbolic) against the Vandermonde product.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import MAX_BRAID_G, lct_braid
+from .arrangements import lct_braid_value
 from .errors import InputError, SizeError
 from .rationals import rat, rat_str
 
@@ -195,13 +195,13 @@ def gamma_at_k(k):
 
     The chart model near total degeneracy is the braid arrangement
     on N = 2k+1 variables; the divisor carries coefficient 1/k, so
-    the sample value is k times the braid lct.  lct_braid's cap on
-    N bounds k at 499.
+    the sample value is k times the braid lct, read without building
+    its certificate.  lct_braid's cap on N bounds k at 499.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     nvars = 2 * k + 1
-    value = k * lct_braid(nvars).value
+    value = k * lct_braid_value(nvars)
     sample = GammaSample(k=k, N=nvars, gamma_k=value)
     if sample.gamma_k != Fraction(2 * k, 2 * k + 1):
         raise AssertionError("gamma sample deviates from 2k/(2k+1)")
@@ -218,8 +218,7 @@ def gamma_report(k_max):
     """
     if k_max < 1:
         raise InputError("k_max must be >= 1")
-    if 2 * k_max + 1 > MAX_BRAID_G:
-        raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
+    lct_braid_value(2 * k_max + 1)
     samples = [gamma_at_k(k) for k in range(1, k_max + 1)]
     gamma = Fraction(1)
     return {

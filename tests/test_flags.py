@@ -8,9 +8,11 @@ taken by the bilinear definition (df_coefficient), is kept below as
 the reference the escalation is compared against.
 """
 
+import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from kstab import (
     weight,
 )
 from kstab import flags
+from kstab.cli import main
 from kstab.flags import (
     ESCALATION_BASES,
     MAX_KS,
@@ -505,6 +508,180 @@ def test_weight_read_stops_at_the_crossing():
 
 
 # ---------------------------------------------------------------------------
+# the stretch against the band sweep
+
+
+def stretch_costs(rng, m):
+    """One point's costs with envelope segments up to length m: random
+    steps, a jump to a plateau (one segment [0, m]), or a bumpy line."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return random_costs(rng, m)
+    if shape == 1:
+        top = rng.randint(1, 9)
+        return [0] + [top] * (m - 1) + [top + rng.randint(0, 3)]
+    slope = rng.randint(1, 3)
+    line = [slope * t + (rng.randint(0, 3) if 0 < t < m else 0) for t in range(m + 1)]
+    return list(accumulate(line, max))
+
+
+def stretch_corpus(seed, count):
+    """Seeded flags of length 1..16 on 1..3 points, with their costs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 16)
+        costs = [stretch_costs(rng, m) for _ in range(rng.randint(1, 3))]
+        if not any(c[-1] for c in costs):
+            costs[0][-1] = 1
+        yield FlagIdealP1(
+            [{f"p{i}": c[t] for i, c in enumerate(costs)} for t in range(1, m + 1)]
+        ), costs
+
+
+def band_weights(costs, s, bound):
+    """k -> w(k) for every k with k*s <= bound, from the band sweep."""
+    rows, weights = [[0] for _ in costs], {}
+    for n in range(1, bound + 1):
+        rows = flags._minplus_step(costs, rows)
+        k = n / s
+        if k.denominator == 1:
+            N = 2 * int(k) + 1
+            weights[int(k)] = -sum(min(N, sum(col)) for col in zip(*rows))
+    return weights
+
+
+STRETCH_BOUND = 60
+
+
+def test_stretch_matches_the_band_sweep():
+    # every k up to k*s = 60, asked in increasing, random and repeated
+    # order; every flag certifies by 40 parts, so the weights past that
+    # are read off the stretch
+    rng = random.Random("orders")
+    for i, (flag, costs) in enumerate(stretch_corpus("stretch", 14)):
+        s = F(1) if i % 2 else F(2, 3)
+        expected = band_weights(costs, s, STRETCH_BOUND)
+        ks = sorted(expected)
+        shuffled = rng.sample(ks, len(ks))
+        for order in (ks, shuffled, shuffled + rng.sample(ks, len(ks))):
+            sweep = _Sweep(flag, s)
+            assert [sweep.weight(k) for k in order] == [expected[k] for k in order], (
+                costs, s
+            )
+            assert sweep._certified[0] <= 40, costs
+
+
+def test_certificate_checks_each_condition():
+    # rows that break (C) or (P) alone, or that are too short for (S),
+    # do not certify; the rows the sweep certified do
+    flag = FlagIdealP1([{"p": 1, "q": 2}, {"p": 3, "q": 2}, {"p": 4, "q": 5}])
+    sweep = _Sweep(flag, 1)
+    sweep.weight(MAX_KS)
+    n0, rows, cuts = sweep._certified
+    costs = sweep._costs
+
+    def insert_one(rows):
+        return [flags._stretch(row, c, 1, _INF) for row, c in zip(rows, cuts)]
+
+    assert flags._certify(costs, rows, insert_one(rows)) == cuts
+    stepped = insert_one(rows)
+    stepped[0][-1] += 1
+    assert flags._certify(costs, rows, stepped) is None
+    moved = [list(row) for row in rows]
+    moved[0][cuts[0][0][0] - 1] += 1  # inside the first window of (P)
+    assert flags._certify(costs, moved, insert_one(moved)) is None
+    short = [list(cost) for cost in costs]  # the rows at one part
+    assert flags._certify(costs, short, flags._minplus_step(costs, short)) is None
+
+
+def outside_run(row, cut):
+    """The cut moved to one entry past the left end of its periodic run."""
+    q, L, rise = cut
+    while q > L and row[q - 1] == row[q - 1 - L] + rise:
+        q -= 1
+    return (q - 1, L, rise) if q > L else None
+
+
+def lift_one_period(row, cut):
+    """Each inserted period lifting what follows by one period too many."""
+    q, L, rise = cut
+    return (q, L, 2 * rise) if rise else None
+
+
+@pytest.mark.parametrize("mutate", [outside_run, lift_one_period])
+def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, mutate):
+    # the sweep reads its weights off cuts mutated after they certified:
+    # (C) rejects every mutated cut, and the band sweep sees wrong weights
+    certify = flags._certify
+    caught = []
+
+    def mutated(costs, rows, stepped):
+        found = certify(costs, rows, stepped)
+        for row, nxt, cuts in zip(rows, stepped, found or ()):
+            for i, cut in enumerate(cuts):
+                bad = mutate(row, cut)
+                if bad:
+                    cuts[i] = bad
+                    caught.append(flags._stretch(row, cuts, 1, _INF) != nxt)
+                    return found
+        return found
+
+    monkeypatch.setattr(flags, "_certify", mutated)
+    wrong = 0
+    for flag, costs in stretch_corpus("mutations", 10):
+        expected = band_weights(costs, F(1), STRETCH_BOUND)
+        sweep = _Sweep(flag, 1)
+        wrong += {k: sweep.weight(k) for k in expected} != expected
+    assert len(caught) >= 9 and all(caught)
+    # the others mutate only entries past every crossing with N = 2k + 1
+    assert wrong >= 8
+
+
+def test_df_outputs_without_the_certificate(monkeypatch, capsys):
+    # rows that never certify are stepped as the band sweep always was
+    monkeypatch.setattr(flags, "_certify", lambda costs, rows, stepped: None)
+    data = Path(__file__).parent / "data" / "df"
+    for name, by_s in json.loads((data / "expected.json").read_text()).items():
+        for s, by_format in by_s.items():
+            for fmt, expected in by_format.items():
+                code = main(["df", "--flag", str(data / name), "--s", s, "--format", fmt])
+                out = capsys.readouterr()
+                got = {"exit": code, "stdout": out.out, "stderr": out.err}
+                assert got == expected, (name, s, fmt)
+
+
+def cap_size_flag():
+    """A seeded flag of length 16 on 8 points, mostly flat steps."""
+    rng = random.Random("cap-5")
+    cur, divisors = [0] * 8, []
+    for _ in range(16):
+        cur = [c + rng.choice((0,) * 10 + (1, 2)) for c in cur]
+        divisors.append({f"p{i}": c for i, c in enumerate(cur)})
+    return FlagIdealP1(divisors)
+
+
+def test_cap_size_flag_takes_few_part_steps(monkeypatch):
+    # the band sweep alone took 276 part steps to k*s = 276 (base 23)
+    steps = count_steps(monkeypatch)
+    flag = cap_size_flag()
+    assert (flag.M, len(flag.points())) == (16, 8)
+    grid = [(46, -58370), (69, -130679), (92, -231738), (115, -361547),
+            (138, -520106), (184, -923474)]
+    assert donaldson_futaki(flag, 1).to_json() == {
+        "s": "1",
+        "k_grid": [{"k": k, "w": str(w)} for k, w in grid],
+        "w_poly": ["-2", "-434/23", "-625/23"],
+        "N_poly": ["1", "2"],
+        "DF": "243/23",
+        "DF0": "972/23",
+        "inferred_Lbar_sq": "-1250/23",
+        "onset_k": 46,
+        "semiampleness_checked": False,
+    }
+    assert len(steps) <= 64
+
+
+# ---------------------------------------------------------------------------
 # the reference: the blind fit, escalated with a fresh sweep per base
 
 
@@ -733,25 +910,42 @@ def test_df0_is_nonnegative_on_every_small_flag():
     assert confirmed == 233
 
 def count_steps(monkeypatch):
+    """The part count n of the rows at each _minplus_step call."""
     steps = []
     step = flags._minplus_step
 
     def counted(costs, rows):
-        steps.append(1)
+        steps.append((len(rows[0]) - 1) // (len(costs[0]) - 1))
         return step(costs, rows)
 
     monkeypatch.setattr(flags, "_minplus_step", counted)
     return steps
 
 
+def spy_certify(monkeypatch):
+    """Whether each _certify call passed."""
+    passed = []
+    certify = flags._certify
+
+    def spied(costs, rows, stepped):
+        cuts = certify(costs, rows, stepped)
+        passed.append(cuts is not None)
+        return cuts
+
+    monkeypatch.setattr(flags, "_certify", spied)
+    return passed
+
+
 def test_escalation_takes_each_part_step_once(monkeypatch):
-    # fat point 16 rejects bases 1..7 before base 8 fits; each base
-    # asks for parts the sweep already holds or extends it
+    # fat point 16 rejects bases 1..7 before base 8 fits; the sweep steps
+    # parts 0, 1, 2, ... once each and stops at the step that certifies
     steps = count_steps(monkeypatch)
+    passed = spy_certify(monkeypatch)
     report = donaldson_futaki(FlagIdealP1([{"p": 16}]), 1)
-    largest = report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
     assert report.k_grid.base > 1
-    assert len(steps) == largest
+    assert steps == list(range(len(steps)))
+    assert passed == [False] * (len(steps) - 1) + [True]
+    assert len(steps) < report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
 
 
 def test_every_sample_is_capped_before_the_sweep(monkeypatch):

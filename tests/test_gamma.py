@@ -16,7 +16,7 @@ from kstab import (
     vandermonde_product,
     veronese_determinant,
 )
-from kstab import gamma
+from kstab import arrangements, gamma
 from kstab.gamma import gamma_report_json
 
 F = Fraction
@@ -79,6 +79,20 @@ def test_report_cap_fails_before_any_sample(monkeypatch):
         gamma_report(500)  # its last sample needs N = 1001
     monkeypatch.setattr(gamma, "gamma_at_k", lambda k: k)
     assert gamma_report(499)["samples"] == list(range(1, 500))  # N = 999
+
+
+def test_report_builds_no_braid_certificate(monkeypatch):
+    # gamma_at_k reads the braid lct's value; the certificate's Flat of
+    # C(2k + 1, 2) hyperplanes is never built
+    def no_flat(*args, **kwargs):
+        raise AssertionError("a braid certificate was built")
+
+    monkeypatch.setattr(arrangements, "Flat", no_flat)
+    report = gamma_report(499)
+    assert report["samples"][-1].gamma_k == F(998, 999)
+    assert report["verdict"].kind == "semistable_not_stable"
+    with pytest.raises(AssertionError, match="certificate was built"):
+        arrangements.lct_braid(3)
 
 
 def test_verdict_thresholds():

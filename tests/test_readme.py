@@ -1,8 +1,10 @@
 """The README's Library block runs as written and gives the values its
-comments state, so a moved or renamed public name breaks a test."""
+comments state, so a moved or renamed public name breaks a test; and
+`from kstab import *` binds the public names and no module."""
 
 import ast
 import pathlib
+import types
 from fractions import Fraction
 
 from kstab import MonomialIdeal
@@ -31,3 +33,29 @@ def test_readme_library_block():
     assert comments == [
         "Fraction(2, 7)", '"semistable_not_stable"', "the ideal (x, y)", "Fraction(2)",
     ]
+
+
+# every name `from kstab import *` bound before __all__ was written out,
+# but the submodules
+PUBLIC = {
+    "CentralArrangement", "DFReport", "FlagIdealP1", "Flat", "GammaSample",
+    "GridTooShortError", "InconclusiveError", "InputError", "KstabError",
+    "LctCertificate", "LinearForm", "MonomialIdeal", "MultiPoly",
+    "NewtonPolyhedron", "PointDivisor", "SampleGrid", "SizeError",
+    "SummationResult", "TildeFamily", "UniPoly", "Verdict",
+    "WeightedIdealProduct", "braid_arrangement", "classify", "det_symbolic",
+    "diagonal_discrepancy", "donaldson_futaki", "gamma_at_k", "gamma_report",
+    "intersection_lattice", "law_checks", "lct_braid", "lct_central",
+    "lct_monomial", "multiplier_ideal", "newton_polyhedron", "rat", "rat_str",
+    "summation_check", "tilde_divisors", "validate_flag", "vandermonde_product",
+    "veronese_determinant", "weight",
+}
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from kstab import *", namespace)
+    namespace.pop("__builtins__")
+    modules = [name for name, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert modules == []
+    assert set(namespace) >= PUBLIC
