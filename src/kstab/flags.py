@@ -9,15 +9,22 @@ lower convex envelopes of the flag's multiplicities, and DF = w2 - 2 w1
 is read straight off them.  The counted weights confirm them and fill
 the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
 w_poly with its constant term.  One short min-plus sweep per (flag, s)
-serves every k a call samples: a part step convolves only the band of
-a row that a new part can change, and the sweep stops once its rows
-certify their own stretch.  Everything here is exact.
+serves every k a call samples, and the power-ideal divisors too: a part
+step convolves only the band of a row that a new part can change, and
+the sweep stops once its rows certify their own stretch.  Everything
+here is exact, and the escalation runs on integers over an exact common
+denominator: the closed form sums the envelopes scaled by the lcm of
+their segment lengths, and a grid base compares integer residuals over
+the denominator of (w2, w1), stopping at its first miss.  Fractions are
+built only on the one interval where s D^ crosses 2, for (w2, w1), and
+for the report of the accepted base.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
+from math import lcm
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
@@ -40,6 +47,10 @@ MAX_POINTS = 8
 # small bases directly (cheap failures) instead of huge composites,
 # up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
 ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
+# cap on the digits of den(s): the grid's k grow with den(s) and w2 with
+# den(s)^2, and each must convert to a string, which Python limits to
+# 4300 digits by default (640 at the least)
+MAX_S_DIGITS = 100
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
 
@@ -210,14 +221,13 @@ def tilde_divisors(flag, ks):
     pointwise minimum and a product adds divisors, so each point can
     be treated independently: the j-th divisor takes, at p, the
     cheapest split of j into at most ks parts weighted by the flag
-    multiplicities at p.  ks above MAX_KS raises SizeError.
+    multiplicities at p.  The rows are those of a _Sweep: stepped until
+    they certify their stretch, then stretched to ks parts.  ks above
+    MAX_KS raises SizeError.
     """
     if _positive_int("ks", ks) > MAX_KS:
         raise SizeError(f"ks capped at {MAX_KS} (got {ks})")
-    costs = _point_costs(flag)
-    rows = [[0] for _ in costs]
-    for _ in range(ks):
-        rows = _minplus_step(costs, rows)
+    rows = _Sweep(flag, 1).rows(ks)
     labels = flag.points()
     divisors = tuple(PointDivisor(dict(zip(labels, col))) for col in zip(*rows))
     return TildeFamily(ks=ks, divisors=divisors)
@@ -261,15 +271,24 @@ class _Sweep:
         self._certified = None  # (n0, the rows at n0, each point's cuts)
 
     def weight(self, k):
-        n = _parts(k, self.s)
-        if n > self._n and self._certified is None:
-            self._advance(n)
         if k not in self._w:
-            n0, rows, cuts = self._certified
-            N = 2 * k + 1
-            stretched = [_stretch(*point, n - n0, N) for point in zip(rows, cuts)]
-            self._w[k] = _total_weight(stretched, N, (len(self._costs[0]) - 1) * n + 1)
+            n = _parts(k, self.s)
+            self._advance(n)
+            if k not in self._w:
+                N = 2 * k + 1
+                self._w[k] = _total_weight(
+                    self._stretched(n, N), N, (len(self._costs[0]) - 1) * n + 1
+                )
         return self._w[k]
+
+    def rows(self, n):
+        """Each point's whole row at n parts, n >= the parts stepped so far."""
+        self._advance(n)
+        return self._rows if self._certified is None else self._stretched(n, _INF)
+
+    def _stretched(self, n, cap):
+        n0, rows, cuts = self._certified
+        return [_stretch(*point, n - n0, cap) for point in zip(rows, cuts)]
 
     def _advance(self, n):
         num, den = self.s.numerator, self.s.denominator
@@ -466,6 +485,8 @@ def donaldson_futaki(flag, s):
     sweep = _Sweep(flag, s)
     if sweep.s <= 0:
         raise InputError("s must be a positive rational")
+    if sweep.s.denominator >= 10**MAX_S_DIGITS:
+        raise SizeError(f"denominator of s capped at {MAX_S_DIGITS} digits")
     w2, w1 = _closed_form(sweep._costs, sweep.s)
     last = None
     for base in ESCALATION_BASES:
@@ -479,40 +500,52 @@ def donaldson_futaki(flag, s):
 def _fit(sweep, base, w2, w1):
     """The DF report at one grid base, reading w from a shared sweep.
 
-    Samples w at k = k0 * DEFAULT_MULTIPLIERS, k0 = base * den(s), and
-    accepts iff w(k) - w2 k^2 - w1 k is one value c from k0 * 3 on and
-    at k0 * REFINE_MULTIPLIERS (kept out of the report); then w_poly =
-    c + w1 k + w2 k^2, and onset_k is k0 * 2 if the residual there is c
-    too, else k0 * 3.  Every sample point is checked against MAX_KS
+    Over q = lcm(den w2, den w1), w2 = p2/q and w1 = p1/q, the residual
+    w(k) - w2 k^2 - w1 k is r(k)/q with the integer r(k) = q w(k) -
+    (p2 k + p1) k.  With k0 = base * den(s), the base is accepted iff r
+    is one value c at k0 * 3, 4, 5, 6, 8 and at k0 * REFINE_MULTIPLIERS
+    (kept out of the report).  They are sampled in that order and a
+    rejected base stops at its first miss; its message names k0 * 8,
+    the grid's largest k, whether sampled or not.  Only an accepted
+    base samples k0 * 2: onset_k is k0 * 2 if r is c there too, else
+    k0 * 3.  Its report has w at k0 * DEFAULT_MULTIPLIERS and w_poly =
+    c/q + w1 k + w2 k^2.  Every sample point is checked against MAX_KS
     before the sweep takes a step.
     """
     s = sweep.s
     k0 = base * s.denominator
     for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
         _parts(k0 * m, s)
+    q = lcm(w2.denominator, w1.denominator)
+    p2, p1 = w2.numerator * (q // w2.denominator), w1.numerator * (q // w1.denominator)
+
+    def residual(m):
+        k = k0 * m
+        return q * sweep.weight(k) - (p2 * k + p1) * k
+
+    onset, first, *rest = DEFAULT_MULTIPLIERS
+    c = residual(first)
+    if any(residual(m) != c for m in rest):
+        raise GridTooShortError(
+            f"no stabilization within the grid (largest k tried: {k0 * rest[-1]})"
+        )
+    for m in REFINE_MULTIPLIERS:
+        if residual(m) != c:
+            raise GridTooShortError(f"refinement misses w({k0 * m})")
     grid = SampleGrid(
         tuple((k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS),
         base=k0,
     )
-    head, *rest = (w - w2 * k * k - w1 * k for k, w in grid.entries)
-    c = rest[-1]
-    if any(r != c for r in rest):
-        raise GridTooShortError(
-            f"no stabilization within the grid (largest k tried: {grid.ks()[-1]})"
-        )
-    for k in (k0 * m for m in REFINE_MULTIPLIERS):
-        if sweep.weight(k) - w2 * k * k - w1 * k != c:
-            raise GridTooShortError(f"refinement misses w({k})")
     df = w2 - 2 * w1
     return DFReport(
         s=s,
         k_grid=grid,
-        w_poly=UniPoly([c, w1, w2]),
+        w_poly=UniPoly([Fraction(c, q), w1, w2]),
         N_poly=N_POLY,
         DF=df,
         DF0=4 * df,
         inferred_Lbar_sq=2 * w2,
-        onset_k=grid.ks()[0 if head == c else 1],
+        onset_k=k0 * (onset if residual(onset) == c else first),
     )
 
 
@@ -532,6 +565,12 @@ def _closed_form(costs, s):
 
         w2 = -s int_0^M min(2, s D^(u)) du,
         w1 = -s (int_0^u* E(u) du + D^(u*)/2 + M - u*).
+
+    Both are summed on integers: Q D^ and Q^2 E at the integers, Q the
+    lcm of the envelope segment lengths L, and with s = num/den the
+    unit intervals where num Q D^ <= 2 den Q throughout, a prefix, as
+    one trapezoid.  Fractions enter only on the one interval where s D^
+    crosses 2, and in the returned pair.
 
     Proof.  With n = ks and N = 2k + 1, w(k) = -sum_{j=1..Mn}
     min(N, deg_j), deg_j summing the least price P(j) of n parts
@@ -562,24 +601,40 @@ def _closed_form(costs, s):
     u* = 2/m, so w2 = w1 = 2/m - 2 and DF0 = 4 (w2 - 2 w1) = 8 - 8/m.
     """
     M = len(costs[0]) - 1
-    dhat = [Fraction(0)] * (M + 1)  # D^ at the integers
-    ebar = [Fraction(0)] * M  # E on each unit interval
-    for cost in costs:
-        hull = _lower_hull(cost)
-        for a, b in zip(hull, hull[1:]):
-            mean = _mean_excess(cost, a, b)
+    segments = [list(pairwise(_lower_hull(cost))) for cost in costs]
+    Q = lcm(*(b - a for point in segments for a, b in point))
+    dhat = [0] * (M + 1)  # Q D^ at the integers
+    ebar = [0] * M  # Q^2 E on each unit interval
+    for cost, point in zip(costs, segments):
+        for a, b in point:
+            unit = Q // (b - a)
+            rise = (cost[b] - cost[a]) * unit
+            excess = _mean_excess(cost, a, b) * unit * unit
             for t in range(a + 1, b + 1):
-                dhat[t] += cost[a] + Fraction((cost[b] - cost[a]) * (t - a), b - a)
-                ebar[t - 1] += mean
-    area = excess = ustar = Fraction(0)
-    for t in range(M):
-        y0, y1 = s * dhat[t], s * dhat[t + 1]
-        # the share of [t, t + 1] where s D^ <= 2, a prefix as D^ rises
-        tau = 1 if y1 <= 2 else 0 if y0 >= 2 else (2 - y0) / (y1 - y0)
-        area += tau * (2 * y0 + tau * (y1 - y0)) / 2 + (1 - tau) * 2
-        excess += tau * ebar[t]
+                dhat[t] += Q * cost[a] + rise * (t - a)
+                ebar[t - 1] += excess
+    # s D^ = num (Q D^) / R, so s D^ <= 2 iff num (Q D^) <= 2 R; the unit
+    # intervals where it holds throughout are a prefix, as D^ rises
+    num, den = s.numerator, s.denominator
+    R = den * Q
+    full = 0
+    while full < M and num * dhat[full + 1] <= 2 * R:
+        full += 1
+    # the trapezoid rule is exact on them: 2 R int_0^full s D^
+    trapezoid = num * (sum(dhat[:full]) + sum(dhat[1:full + 1]))
+    area = Fraction(trapezoid, 2 * R) + 2 * (M - full)
+    excess, ustar = Fraction(sum(ebar[:full]), Q * Q), Fraction(full)
+    y0 = num * dhat[full]
+    if full < M and y0 < 2 * R:
+        # s D^ crosses 2 at full + tau: min(2, s D^) has area
+        # 2 - tau (2 - s D^(full)) / 2 on this interval
+        tau = Fraction(2 * R - y0, num * dhat[full + 1] - y0)
+        area -= tau * (2 * R - y0) / (2 * R)
+        excess += tau * Fraction(ebar[full], Q * Q)
         ustar += tau
-    return -s * area, -s * (excess + min(dhat[M], 2 / s) / 2 + M - ustar)
+    # min(D^(M), 2/s) / 2: D^(M) where s D^ <= 2 on all of [0, M]
+    half = Fraction(dhat[M], 2 * Q) if full == M else Fraction(den, num)
+    return -s * area, -s * (excess + half + M - ustar)
 
 
 def _lower_hull(cost):
@@ -596,7 +651,8 @@ def _lower_hull(cost):
 
 
 def _mean_excess(cost, a, b):
-    """The mean of e over Z/L on the envelope segment [a, b], L = b - a.
+    """L^2 times the mean of e over Z/L on the envelope segment [a, b],
+    L = b - a: the sum over Z/L of L e, an integer.
 
     Excesses times L are integers.  Round i of relaxation settles the
     paths of i parts; part a + 1 (offset 1) reaches every residue.
@@ -610,4 +666,4 @@ def _mean_excess(cost, a, b):
         dist = [
             min(dist[v], *(dist[(v - d) % L] + x for d, x in parts)) for v in range(L)
         ]
-    return Fraction(sum(dist), L * L)
+    return sum(dist)

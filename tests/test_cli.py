@@ -8,9 +8,9 @@ from itertools import product
 
 import pytest
 
-from kstab import SizeError, donaldson_futaki, gamma, monomials, rat
+from kstab import GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat
 from kstab.cli import main
-from kstab.flags import MAX_M, MAX_POINTS, flag_from_json
+from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, flag_from_json
 from kstab.monomials import MAX_HULL_CANDIDATES
 
 KSTAB = [sys.executable, "-m", "kstab"]
@@ -241,11 +241,18 @@ def test_df_point_count_cap_exits_3(tmp_path):
 # Fixed flags (M = 1..4, one to three points, fat point 16 and a flag
 # that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
 # and exit code `kstab df --flag F --s S --format FMT` gave for them
-# before the min-plus step was restricted to its band; any change must
-# reproduce them byte for byte.  Run in-process through cli.main, and
-# through the library call, which must answer as the command does.
+# before the min-plus step was restricted to its band (expected.json),
+# and fat point 31, whose escalation walks every base at s = 1 and 1/2
+# before it exits 3, as the Fraction residuals gave it (expected_walk.json);
+# any change must reproduce them byte for byte.  Run in-process through
+# cli.main, and through the library call, which must answer as the
+# command does.
 DF_DATA = pathlib.Path(__file__).parent / "data" / "df"
-DF_EXPECTED = json.loads((DF_DATA / "expected.json").read_text())
+DF_EXPECTED = {
+    name: by_s
+    for table in ("expected.json", "expected_walk.json")
+    for name, by_s in json.loads((DF_DATA / table).read_text()).items()
+}
 
 
 @pytest.mark.parametrize("name,s", [(name, s) for name in DF_EXPECTED
@@ -261,11 +268,24 @@ def test_df_checked_in_outputs(name, s, capsys):
         report = donaldson_futaki(flag, rat(s))
         assert json.dumps(report.to_json()) + "\n" == expected["stdout"]
     else:
-        # every recorded exit 3 is the k*s cap
+        # every recorded exit 3 is the k*s cap or a walk past every base
         assert expected["exit"] == 3
-        with pytest.raises(SizeError) as info:
+        with pytest.raises((SizeError, GridTooShortError)) as info:
             donaldson_futaki(flag, rat(s))
         assert f"limit reached: {info.value}\n" == expected["stderr"]
+
+
+def test_df_long_denominator_exits_3():
+    # w2 has den(s)^2 in its denominator: 4,400 digits here, past
+    # Python's default int-to-string limit; the cap on den(s) exits
+    # before any sample
+    flag = str(DF_DATA / "reduced_point.json")
+    proc = run_cli("df", "--flag", flag, "--s", "1/" + "9" * 2200)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"limit reached: denominator of s capped at {MAX_S_DIGITS} digits\n"
+    )
+    data = run_json("df", "--flag", flag, "--s", "1/99999999999")
+    assert data["k_grid"][0]["k"] == 2 * 99999999999
 
 
 # ---------------------------------------------------------------------------

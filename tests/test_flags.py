@@ -37,6 +37,7 @@ from kstab.flags import (
     MAX_KS,
     MAX_M,
     MAX_POINTS,
+    MAX_S_DIGITS,
     _closed_form,
     _fit,
     _point_costs,
@@ -418,6 +419,65 @@ def test_closed_form_fat_points():
         assert _closed_form(costs, F(1)) == (F(2, m) - 2, F(2, m) - 2), m
 
 
+# ---------------------------------------------------------------------------
+# the integer closed form against its Fraction reference
+
+
+def reference_closed_form(costs, s):
+    """(w2, w1) summed in Fractions, one unit interval at a time."""
+    M = len(costs[0]) - 1
+    dhat = [F(0)] * (M + 1)  # D^ at the integers
+    ebar = [F(0)] * M  # E on each unit interval
+    for cost in costs:
+        hull = flags._lower_hull(cost)
+        for a, b in zip(hull, hull[1:]):
+            mean = F(flags._mean_excess(cost, a, b), (b - a) ** 2)
+            for t in range(a + 1, b + 1):
+                dhat[t] += cost[a] + F((cost[b] - cost[a]) * (t - a), b - a)
+                ebar[t - 1] += mean
+    area = excess = ustar = F(0)
+    for t in range(M):
+        y0, y1 = s * dhat[t], s * dhat[t + 1]
+        # the share of [t, t + 1] where s D^ <= 2, a prefix as D^ rises
+        tau = 1 if y1 <= 2 else 0 if y0 >= 2 else (2 - y0) / (y1 - y0)
+        area += tau * (2 * y0 + tau * (y1 - y0)) / 2 + (1 - tau) * 2
+        excess += tau * ebar[t]
+        ustar += tau
+    return -s * area, -s * (excess + min(dhat[M], 2 / s) / 2 + M - ustar)
+
+
+def closed_form_cases(name):
+    """(costs, s) of one case set."""
+    if name == "small-flags":
+        for flag in small_flags():
+            for s in SMALL_FLAG_DF0:
+                yield _point_costs(flag), F(s)
+    elif name == "seeded":
+        # M <= 16 on up to 8 points, den(s) from 1 to 6
+        rng = random.Random("closed-form-int")
+        for _ in range(150):
+            m = rng.randint(1, 16)
+            costs = [stretch_costs(rng, m) for _ in range(rng.randint(1, 8))]
+            if not any(c[-1] for c in costs):
+                costs[0][-1] = 1
+            for den in range(1, 7):
+                yield costs, F(rng.randint(1, 12), den)
+    else:
+        for m in range(2, 60):
+            for s in ("1", "1/2", "2/3", "3/2", "5/6"):
+                yield [[0, m]], F(s)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("small-flags", 762 * 6), ("seeded", 150 * 6), ("fat-points", 58 * 5)
+])
+def test_closed_form_matches_the_fraction_reference(name, count):
+    cases = list(closed_form_cases(name))
+    assert len(cases) == count
+    for costs, s in cases:
+        assert _closed_form(costs, s) == reference_closed_form(costs, s), (costs, s)
+
+
 # With a point of multiplicity >= 25 in D_1, every count min(2k+1, deg_j)
 # saturates on the base-1 grid (k <= 12), where w = -M (2k^2 + k) fits
 # exactly: the blind fit accepts it with DF0 = 0.
@@ -641,7 +701,10 @@ def test_df_outputs_without_the_certificate(monkeypatch, capsys):
     # rows that never certify are stepped as the band sweep always was
     monkeypatch.setattr(flags, "_certify", lambda costs, rows, stepped: None)
     data = Path(__file__).parent / "data" / "df"
-    for name, by_s in json.loads((data / "expected.json").read_text()).items():
+    for name, by_s in [
+        item for table in ("expected.json", "expected_walk.json")
+        for item in json.loads((data / table).read_text()).items()
+    ]:
         for s, by_format in by_s.items():
             for fmt, expected in by_format.items():
                 code = main(["df", "--flag", str(data / name), "--s", s, "--format", fmt])
@@ -679,6 +742,47 @@ def test_cap_size_flag_takes_few_part_steps(monkeypatch):
         "semiampleness_checked": False,
     }
     assert len(steps) <= 64
+
+
+def test_tilde_rows_match_the_band_sweep():
+    # every ks <= 60 on seeded flags of length up to 16, each certified
+    # by 40 parts, so most rows are read off the stretch (one sweep
+    # asked in increasing order reads them as a fresh one does); the
+    # divisors tilde_divisors builds from them are checked at a few ks
+    for flag, _ in stretch_corpus("tilde-stretch", 12):
+        costs, labels = _point_costs(flag), flag.points()
+        sweep = _Sweep(flag, 1)
+        rows = [[0] for _ in costs]
+        for ks in range(1, STRETCH_BOUND + 1):
+            rows = flags._minplus_step(costs, rows)
+            assert sweep.rows(ks) == rows, (costs, ks)
+            if ks in (1, 7, 41, STRETCH_BOUND):
+                assert tilde_divisors(flag, ks) == flags.TildeFamily(ks, tuple(
+                    PointDivisor(dict(zip(labels, col))) for col in zip(*rows)
+                )), (costs, ks)
+        assert sweep._certified[0] <= 40, costs
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["seeded", "linear"])
+def test_tilde_at_the_caps_takes_few_part_steps(monkeypatch, linear):
+    # the band sweep alone took all 480 part steps; on the linear flag
+    # D_t(p_i) = (31 + 2i) t every split of j costs (31 + 2i) j at p_i
+    steps = count_steps(monkeypatch)
+    flag = FlagIdealP1([
+        {f"p{i}": (31 + 2 * i) * t for i in range(8)} for t in range(1, 17)
+    ]) if linear else cap_size_flag()
+    family = tilde_divisors(flag, MAX_KS)
+    assert len(steps) <= 64
+    assert len(family.divisors) == 16 * MAX_KS + 1
+    assert family.divisors[1] == flag.divisors[0]
+    assert family.divisors[-1] == PointDivisor(
+        {label: MAX_KS * flag.divisors[-1].at(label) for label in flag.points()}
+    )
+    degrees = [d.degree for d in family.divisors]
+    assert degrees == sorted(degrees)
+    if linear:
+        assert all(d == PointDivisor({f"p{i}": (31 + 2 * i) * j for i in range(8)})
+                   for j, d in enumerate(family.divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +1050,56 @@ def test_escalation_takes_each_part_step_once(monkeypatch):
     assert steps == list(range(len(steps)))
     assert passed == [False] * (len(steps) - 1) + [True]
     assert len(steps) < report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
+
+
+def spy_weights(monkeypatch):
+    """The k of each _Sweep.weight call."""
+    asked = []
+    weigh = _Sweep.weight
+
+    def spied(self, k):
+        asked.append(k)
+        return weigh(self, k)
+
+    monkeypatch.setattr(_Sweep, "weight", spied)
+    return asked
+
+
+def test_a_rejected_base_stops_at_its_first_miss(monkeypatch):
+    # fat point 7 at base 1: the residual at k = 4 differs from the one
+    # at k = 3, so the base samples nothing more and never k = 2; the
+    # message still names the grid's largest k
+    asked = spy_weights(monkeypatch)
+    flag = FlagIdealP1([{"p": 7}])
+    with pytest.raises(GridTooShortError) as info:
+        pinned(flag, 1, 1)
+    assert str(info.value) == "no stabilization within the grid (largest k tried: 8)"
+    assert asked == [3, 4]
+    # an accepted base samples k0 * 3 .. k0 * 12, then k0 * 2 for onset_k
+    asked.clear()
+    assert pinned(flag, 1, 7).onset_k == 14
+    assert asked[:8] == [21, 28, 35, 42, 56, 70, 84, 14]
+
+
+def test_refinement_miss_message():
+    # a count one above the closed form's at k0 * 10 alone
+    sweep = _Sweep(POINT, 1)
+    weigh = sweep.weight
+    sweep.weight = lambda k: weigh(k) + (k == 10)
+    with pytest.raises(GridTooShortError) as info:
+        _fit(sweep, 1, *_closed_form(sweep._costs, sweep.s))
+    assert str(info.value) == "refinement misses w(10)"
+
+
+def test_denominator_cap_comes_before_any_sample(monkeypatch):
+    asked = spy_weights(monkeypatch)
+    with pytest.raises(SizeError) as info:
+        donaldson_futaki(POINT, F(1, 10**MAX_S_DIGITS))
+    assert str(info.value) == f"denominator of s capped at {MAX_S_DIGITS} digits"
+    assert asked == []
+    report = donaldson_futaki(POINT, F(1, 10**MAX_S_DIGITS - 1))
+    assert report.w_poly == UniPoly([0, -report.s / 2, -report.s**2 / 2])
+    assert json.dumps(report.to_json())
 
 
 def test_every_sample_is_capped_before_the_sweep(monkeypatch):
