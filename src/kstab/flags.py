@@ -47,9 +47,10 @@ MAX_POINTS = 8
 # small bases directly (cheap failures) instead of huge composites,
 # up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
 ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
-# cap on the digits of den(s): the grid's k grow with den(s) and w2 with
-# den(s)^2, and each must convert to a string, which Python limits to
-# 4300 digits by default (640 at the least)
+# cap on the digits of num(s) and den(s): the grid's k grow with den(s),
+# w2 with den(s)^2 and the part counts in the k*s message with num(s),
+# and each must convert to a string, which Python limits to 4300 digits
+# by default (640 at the least)
 MAX_S_DIGITS = 100
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
@@ -485,8 +486,9 @@ def donaldson_futaki(flag, s):
     sweep = _Sweep(flag, s)
     if sweep.s <= 0:
         raise InputError("s must be a positive rational")
-    if sweep.s.denominator >= 10**MAX_S_DIGITS:
-        raise SizeError(f"denominator of s capped at {MAX_S_DIGITS} digits")
+    for part in ("denominator", "numerator"):
+        if getattr(sweep.s, part) >= 10**MAX_S_DIGITS:
+            raise SizeError(f"{part} of s capped at {MAX_S_DIGITS} digits")
     w2, w1 = _closed_form(sweep._costs, sweep.s)
     last = None
     for base in ESCALATION_BASES:

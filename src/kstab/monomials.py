@@ -6,14 +6,17 @@ a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
 of the weighted Minkowski sum of the Newton polyhedra.  The facet
 normals of that sum depend only on which ideals carry a positive
 weight, so they are computed once per support set.  Scaled by the
-lcm of the weight denominators, the test runs in integers, one
-closed-form staircase step per prefix of a bounded box.  That makes
-this module an exact, independent oracle for multiplier ideals,
-including the summation formula over rational exponent splittings.
+lcm of the weight denominators, the test runs in integers, swept
+line by line through a bounded box: along each line the least last
+exponent of a member is a falling step function, read in closed form
+from one drop to the next.  That makes this module an exact,
+independent oracle for multiplier ideals, including the summation
+formula over rational exponent splittings.
 The seeded law corpus that exercises it is verification.law_checks.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -297,13 +300,44 @@ def multiplier_ideal(prod):
     follows by monotonicity.
 
     The staircase: a prefix v' = (v_1..v_{n-1}) of the box is
-    admitted when it meets every facet with a_n = 0; its least member
-    (v', t) then has t = h(v') = max(0, ceil((T - <a', v'>) / a_n))
-    over the facets with a_n > 0.  Normals are nonnegative, so
+    admitted when it meets every flat facet (a_n = 0); its least
+    member (v', t) then has t = h(v') = max(0, ceil((T - <a', v'>) / a_n))
+    over the height facets (a_n > 0).  Normals are nonnegative, so
     admitted prefixes are closed upward and h falls as v' grows.  A
     minimal generator (v', t) has t = h(v'), and (v' - e_j, h(v')) is
     a member iff v' - e_j is admitted with the same h; so (v', h(v'))
     is a minimal generator iff no admitted v' - e_j has that h.
+
+    The sweep reads the staircase one line at a time.  A line fixes
+    u = (v_1..v_{n-2}) and runs x = v_{n-1} from 0 to the box's top;
+    on it each facet reads a_x * x >= r or ceil((r - a_x * x) / a_n),
+    with r = T - <a_u, u>.
+    - Start.  A flat facet holds from x = ceil(r / a_x) on if a_x > 0,
+      and on all or none of the line if a_x = 0.  So the admitted
+      entries are lo..top, lo = max(0, ceil(r / a_x)) over the flat
+      facets with a_x > 0, and none if a flat facet with a_x = 0 has
+      r > 0.
+    - End.  A height facet with a_x = 0 gives the same ceil(r / a_n)
+      all along the line; the largest of these and 0 is a floor f that
+      h never goes below.  As h falls, once h = f it stays f to the
+      end of the line: h = 0 when no such facet is above 0, else a
+      facet with a_x = 0 holds h.
+    - Steps.  From x with h = h(x) > f, h(x') <= h - 1 iff every height
+      facet has a_x * x' >= r - (h - 1) * a_n.  Those with a_x = 0 do,
+      as f <= h - 1, so the next drop is at
+      x' = max ceil((r - (h - 1) * a_n) / a_x) over the facets with
+      a_x > 0.  It lies past x: a facet attaining h > f has a_x > 0
+      and r - a_x * x > (h - 1) * a_n.  So h is constant on [x, x'),
+      and the line is its steps (x, h(x)), from lo until h = f or x'
+      passes top.
+    - Minimal generators.  Off the steps, v' - e_{n-1} is admitted
+      with the same h, so only step points can be minimal.  A step
+      point is minimal iff no admitted v' - e_j, j <= n - 2, has its h.
+      That point lies on line u - e_j, swept before u: it is admitted
+      iff x is at or past the line's first step, and then its h is
+      that of the last step at or before x, found by bisection, since
+      the line's next drop lies past x.
+    In arity 1 there are no prefix entries: the one generator is (h(),).
     """
     if not isinstance(prod, WeightedIdealProduct):
         prod = WeightedIdealProduct(prod)
@@ -347,24 +381,50 @@ def _multiplier(key, n):
         t = b // scale + 1 - sum(a)
         (last if a[-1] else flat).append((a[:-1], a[-1], t))
 
-    height = {}  # admitted prefix -> least last exponent of a member
+    if n == 1:  # no prefix entries: the one generator is (h(),)
+        return MonomialIdeal(1, [(max([0] + [-(-t // an) for _, an, t in last]),)])
+
+    top = corner[-2]
+    lines = {}  # line u -> (xs, hs): the entries x where h steps, and h there
     members = []
-    for v in product(*(range(c + 1) for c in corner[:-1])):
-        if any(sum(x * y for x, y in zip(a, v)) < t for a, _, t in flat):
-            continue
-        h = max(
-            [0] + [-((sum(x * y for x, y in zip(a, v)) - t) // an) for a, an, t in last]
-        )
-        height[v] = h
-        if not any(
-            height.get(v[:j] + (v[j] - 1,) + v[j + 1:]) == h
-            for j in range(n - 1)
-            if v[j]
-        ):
-            members.append(v + (h,))
+    for u in product(*(range(c + 1) for c in corner[:-2])):
+        xs, hs = lines[u] = [], []
+        lo, floor, moving = 0, 0, []
+        for a, an, t in flat + last:
+            r = t - sum(x * y for x, y in zip(a, u))  # zip stops before a_x
+            ax = a[-1]
+            if an and ax:
+                moving.append((ax, an, r))
+            elif an:
+                floor = max(floor, -(-r // an))
+            elif ax:
+                lo = max(lo, -(-r // ax))
+            elif r > 0:
+                lo = top + 1  # a flat facet fails on the whole line
+        x = lo
+        while x <= top:
+            h = max([floor] + [-((ax * x - r) // an) for ax, an, r in moving])
+            xs.append(x)
+            hs.append(h)
+            if not any(
+                _height_at(lines[u[:j] + (u[j] - 1,) + u[j + 1:]], x) == h
+                for j in range(n - 2)
+                if u[j]
+            ):
+                members.append(u + (x, h))
+            if h == floor:
+                break
+            x = max(-(((h - 1) * an - r) // ax) for ax, an, r in moving)
     if not members:
         raise AssertionError("multiplier ideal of a finite product is nonzero")
     return MonomialIdeal(n, members)
+
+
+def _height_at(line, x):
+    """h at entry x of a swept line, or None where x is not admitted."""
+    xs, hs = line
+    i = bisect_right(xs, x)
+    return hs[i - 1] if i else None
 
 
 def lct_monomial(ideal):

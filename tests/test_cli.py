@@ -288,6 +288,20 @@ def test_df_long_denominator_exits_3():
     assert data["k_grid"][0]["k"] == 2 * 99999999999
 
 
+def test_df_long_numerator_exits_3():
+    # the k*s cap message would print 2 * num(s), 4,301 digits here, past
+    # Python's default int-to-string limit; a 99-digit numerator keeps it
+    flag = str(DF_DATA / "reduced_point.json")
+    proc = run_cli("df", "--flag", flag, "--s", "5" + "0" * 4299)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"limit reached: numerator of s capped at {MAX_S_DIGITS} digits\n"
+    )
+    proc = run_cli("df", "--flag", flag, "--s", "5" + "0" * 98)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"limit reached: k*s capped at 480 (got 1{'0' * 99})\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # summation
 
@@ -377,6 +391,25 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert out.err.startswith(
         f"limit reached: hull enumeration capped at {MAX_HULL_CANDIDATES} "
     )
+
+
+# Fixed instances (arity 2, 3 and 4, c with denominators 1 and 2, a
+# refinement that stalls at D = 1 and 2 before growing at D = 4, a sweep
+# that stops at its denom_bound and a product past the scan cap) and the
+# stdout, stderr and exit code `kstab check-summation --file F --format
+# FMT` gave for them before the staircase was swept line by line; any
+# change must reproduce them byte for byte.
+SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
+SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SUMMATION_EXPECTED))
+def test_check_summation_checked_in_outputs(name, capsys):
+    for fmt, expected in SUMMATION_EXPECTED[name].items():
+        code = main(["check-summation", "--file", str(SUMMATION_DATA / name),
+                     "--format", fmt])
+        out = capsys.readouterr()
+        assert {"exit": code, "stdout": out.out, "stderr": out.err} == expected, fmt
 
 
 def test_check_summation_missing_field(tmp_path):

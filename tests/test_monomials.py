@@ -312,11 +312,55 @@ def random_product(rng, n):
     return factors
 
 
+# Products whose sweep meets each way a line can start or end.  A line
+# fixes every prefix entry but the last, x; by the box-safety argument
+# its first admitted entry lo is at most the box's top unless a flat
+# facet with a_x = 0 fails on the whole line.
+EDGE_PRODUCTS = {
+    # arity 1: no prefix entries, one generator (floor(15/2 + 2/3),)
+    "arity-1": [(MonomialIdeal(1, [(3,)]), F(5, 2)), (MonomialIdeal(1, [(2,)]), F(1, 3))],
+    # J(y^4 (x, y)^2) = y^4 (x, y): h falls from 5 to 4 at x = 1, where
+    # the facet y >= 4 (a_x = 0) holds it to the end of the line
+    "held-line": [(MonomialIdeal.principal((0, 3)), F(4, 3)), (XY, F(2))],
+    "held-lines-3": [
+        (MonomialIdeal.principal((0, 0, 2)), F(3, 2)),
+        (MonomialIdeal(3, [(2, 0, 1), (0, 3, 0)]), F(5, 3)),
+    ],
+    # every generator has v_1 >= 1; the facet v_1 >= 1 has a_x = 0 on
+    # the lines, which run along v_2, and rules out those with v_1 = 0
+    "no-prefix-admitted-3": [
+        (MonomialIdeal(3, [(1, 0, 2), (2, 1, 0)]), F(3, 2)),
+        (MonomialIdeal(3, [(0, 1, 1), (0, 0, 3)]), F(1, 2)),
+    ],
+    # lines ruled out next to lines held at h > 0, read by the
+    # minimality check across them
+    "no-prefix-admitted-4": [
+        (MonomialIdeal.principal((1, 0, 1, 3)), F(2)),
+        (MonomialIdeal(4, [(0, 2, 0, 1), (1, 1, 2, 0)]), F(3, 2)),
+    ],
+}
+
+
 def test_staircase_matches_box_scan():
     rng = random.Random("staircase")
-    for i in range(300):
-        factors = random_product(rng, 1 + i % 4)
+    products = [random_product(rng, 1 + i % 4) for i in range(300)]
+    for factors in list(EDGE_PRODUCTS.values()) + products:
         assert multiplier_ideal(factors) == box_scan(factors), factors
+
+
+def test_scan_cap_bounds_the_box():
+    # (x^a, y)^2 has corner 2a + 1 on x, so a = 24,999 gives exactly
+    # MAX_SCAN_PREFIXES prefixes, and J((x^a, y)^2) = (x^a, y); one more
+    # factor x moves the corner by one
+    assert monomials.MAX_SCAN_PREFIXES == 50_000
+    ideal = MonomialIdeal(2, [(24_999, 0), (0, 1)])
+    assert multiplier_ideal([(ideal, F(2))]) == ideal
+    x = MonomialIdeal.principal((1, 0))
+    with pytest.raises(SizeError) as info:
+        multiplier_ideal([(ideal, F(2)), (x, F(1))])
+    assert str(info.value) == (
+        "multiplier-ideal scan capped at 50000 prefixes (this product needs 50001)"
+    )
 
 
 def test_support_normals_give_every_weighted_facet():
