@@ -4,9 +4,11 @@ The lct at the origin of a reduced central arrangement is the
 minimum of rank/count over the intersection lattice (Mustata,
 "Multiplier ideals of hyperplane arrangements", Trans. AMS 2006).
 One exact engine enumerates that lattice for any arrangement, in
-integer arithmetic, with flats keyed by their member sets.  Braid
-arrangements need no enumeration: their lct is the closed form 2/g,
-proved in lct_braid.
+integer arithmetic, with flats keyed by their member sets; a flat one
+rank below the whole arrangement is closed without residuals, since
+its only cover is the top.  lct_central takes the minimum by
+cross-multiplying integers.  Braid arrangements need no enumeration:
+their lct is the closed form 2/g, proved in lct_braid.
 """
 
 from dataclasses import dataclass
@@ -88,10 +90,6 @@ class Flat:
     def count(self):
         return len(self.member_indices)
 
-    @property
-    def ratio(self):
-        return Fraction(self.rank, self.count)
-
     def sort_key(self):
         return (self.rank, self.count, tuple(sorted(self.member_indices)))
 
@@ -116,7 +114,8 @@ class LctCertificate:
 
 
 def intersection_lattice(arr):
-    """All flats of the arrangement, ambient space excluded.
+    """All flats of the arrangement, ambient space excluded, sorted by
+    Flat.sort_key.
 
     Closure by joins, with each flat keyed by its closed member set.
     Every form is read as its primitive integer row,
@@ -133,12 +132,33 @@ def intersection_lattice(arr):
     nonzero column p, divided by its gcd; none of these vanish, since
     only the class of r joins.  Every join counts as one candidate;
     more than MAX_CANDIDATES of them raise SizeError.
+
+    The penultimate rank needs no residuals.  Let R be the rank of the
+    whole arrangement, the dimension of the span V of all the forms,
+    and X a flat other than the top.  X has rank R - 1 exactly when its
+    non-members form one class.  If X has rank R - 1, V / span(X) is
+    one-dimensional, so the join of X with any non-member f is spanned
+    by span(X) and f, which is V: every non-member gives the same
+    join, the top, which holds every form.  Conversely, if every
+    non-member gives the same join, that join holds every form, so it
+    is the top, and it covers X.  So R is learnt, with no separate
+    elimination, at the first flat whose residuals fall into one
+    class, and from then on a flat of rank R - 1 is given its one
+    class, all its non-members, without computing a residual.  The
+    key of that class is never read, since its join is the top, which
+    has no non-members to reduce.  Either way such a flat yields one
+    class and so one examined candidate, so the count of candidates,
+    and with it where MAX_CANDIDATES trips, is unchanged.  R is the
+    rank of the top, not ambient_dim: a non-essential arrangement has
+    R < ambient_dim.
     """
     ambient = {}
     for i, f in enumerate(arr.forms):
         ambient.setdefault(f.coefficients, []).append(i)
+    everything = frozenset(range(len(arr.forms)))
 
     ranks = {}
+    top = None  # R, the rank of the top, once a flat has one class
     stack = [(frozenset(), 0, ambient)]
     examined = 0
     while stack:
@@ -154,6 +174,12 @@ def intersection_lattice(arr):
             if closed in ranks:
                 continue
             ranks[closed] = rank + 1
+            if rank + 1 == top:
+                continue  # the top: no non-members
+            if rank + 2 == top:
+                # the one class of a penultimate flat joins to the top
+                stack.append((closed, rank + 1, {None: everything - closed}))
+                continue
             p = next(k for k, x in enumerate(r) if x)
             residuals = {}
             for s, others in classes.items():
@@ -162,6 +188,8 @@ def intersection_lattice(arr):
                 if s[p]:
                     s = primitive([r[p] * x - s[p] * y for x, y in zip(s, r)])
                 residuals.setdefault(s, []).extend(others)
+            if len(residuals) == 1:
+                top = rank + 2
             stack.append((closed, rank + 1, residuals))
 
     flats = [Flat(member_indices=members, rank=rk) for members, rk in ranks.items()]
@@ -170,17 +198,21 @@ def intersection_lattice(arr):
 
 
 def lct_central(arr):
-    """Minimum of rank/count over all flats, with all minimizers."""
+    """Minimum of rank/count over all flats, with all minimizers.
+
+    The minimum is taken over the distinct (rank, count) pairs and the
+    minimizers are selected by cross-multiplying, all in integers; the
+    lattice comes sorted, so the minimizers do too.  A reduced
+    arrangement always has a (1, 1) flat, so the minimum never
+    exceeds 1; starting from 1/1 keeps that cap as a hard guarantee.
+    """
     flats = intersection_lattice(arr)
-    value = min(f.ratio for f in flats)
-    # a reduced arrangement always has a (1,1) flat, so the minimum
-    # can never exceed 1; keep the cap as a hard guarantee
-    if value > 1:
-        value = Fraction(1)
-    minimizers = tuple(
-        sorted((f for f in flats if f.ratio == value), key=Flat.sort_key)
-    )
-    return LctCertificate(value=value, minimizers=minimizers)
+    rank, count = 1, 1
+    for r, c in {(f.rank, f.count) for f in flats}:
+        if r * count < rank * c:
+            rank, count = r, c
+    minimizers = tuple(f for f in flats if f.rank * count == rank * f.count)
+    return LctCertificate(value=Fraction(rank, count), minimizers=minimizers)
 
 
 # ---------------------------------------------------------------------------

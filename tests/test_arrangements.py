@@ -21,6 +21,7 @@ from kstab import (
 )
 from kstab import arrangements
 from kstab.arrangements import MAX_BRAID_G, braid_pairs
+from kstab.rationals import primitive
 
 F = Fraction
 
@@ -222,6 +223,24 @@ def _random_arrangement(rng, n, max_forms=5, fractional=False):
             return CentralArrangement(n, forms)
 
 
+def _subspace_arrangement(rng, n, d, extra):
+    """A basis of a random d-dimensional subspace of Q^n and up to
+    extra combinations of it: an arrangement of rank d, non-essential
+    when d < n."""
+    while True:
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if rank(basis) == d:
+            break
+    rows = {tuple(F(x) for x in b) for b in basis}
+    for _ in range(extra):
+        mix = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        rows.add(tuple(sum(c * b[j] for c, b in zip(mix, basis)) for j in range(n)))
+    forms = sorted(
+        {LinearForm(r) for r in rows if any(r)}, key=lambda f: f.coefficients
+    )
+    return CentralArrangement(n, forms)
+
+
 def test_lattice_matches_brute_force_on_random_arrangements():
     rng = random.Random("lattice")
     for _ in range(8):
@@ -230,12 +249,75 @@ def test_lattice_matches_brute_force_on_random_arrangements():
     for _ in range(8):
         arr = _random_arrangement(rng, rng.randint(2, 4), 6, fractional=True)
         assert flat_stats(intersection_lattice(arr)) == brute_force_flats(arr)
+    for _ in range(6):
+        arr = _random_arrangement(rng, 5, 8, fractional=rng.random() < 0.4)
+        assert flat_stats(intersection_lattice(arr)) == brute_force_flats(arr)
+    # non-essential: the top has rank R < n, so the penultimate rank is
+    # R - 1, not n - 1
+    for d in (2, 3, 3, 4) * 3:
+        arr = _subspace_arrangement(rng, 5, d, rng.randint(0, 8 - d))
+        flats = intersection_lattice(arr)
+        assert flat_stats(flats) == brute_force_flats(arr)
+        assert flats[-1].rank == d
+    # one and two forms: the top is reached at rank 1 or 2
+    for n, size in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)] * 3:
+        forms = set()
+        while len(forms) < size:
+            row = [rng.randint(-2, 2) for _ in range(n)]
+            if any(row):
+                forms.add(LinearForm(row))
+        arr = CentralArrangement(n, sorted(forms, key=lambda f: f.coefficients))
+        flats = intersection_lattice(arr)
+        assert flat_stats(flats) == brute_force_flats(arr)
+        assert flats[-1].rank == size
+
+
+def test_padding_with_zero_coordinates_costs_no_residual(monkeypatch):
+    # the penultimate rank is R - 1 for the rank R of the top, not
+    # ambient_dim - 1: zero coordinates leave every residual, and so
+    # every call of primitive, as it was in the essential arrangement
+    rows = [[1, t, t * t] for t in range(8)]
+    essential = CentralArrangement(3, rows)
+    padded = CentralArrangement(5, [[0, a, b, 0, c] for a, b, c in rows])
+    calls = []
+
+    def counted(row):
+        calls.append(len(row))
+        return primitive(row)
+
+    monkeypatch.setattr(arrangements, "primitive", counted)
+    assert flat_stats(intersection_lattice(padded)) == flat_stats(
+        intersection_lattice(essential)
+    )
+    assert calls.count(5) == calls.count(3) > 0
 
 
 def test_lattice_size_abort(monkeypatch):
     monkeypatch.setattr(arrangements, "MAX_CANDIDATES", 3)
     with pytest.raises(SizeError, match="exceeds 3 candidate"):
         intersection_lattice(braid_arrangement(5))
+
+
+@pytest.mark.parametrize(
+    "arr,flats,candidates",
+    [
+        (CentralArrangement(3, [[1, t, t * t] for t in range(8)]), 37, 92),
+        (CentralArrangement(3, [[1, t, t * t] for t in range(6)]), 22, 51),
+        (braid_arrangement(5), 51, 160),
+    ],
+    ids=["moment-curve-8", "moment-curve-6", "braid-5"],
+)
+def test_candidate_count_is_pinned(monkeypatch, arr, flats, candidates):
+    # the count of examined candidates decides where the cap trips;
+    # these are the counts of the full residual enumeration
+    monkeypatch.setattr(arrangements, "MAX_CANDIDATES", candidates)
+    assert len(intersection_lattice(arr)) == flats
+    monkeypatch.setattr(arrangements, "MAX_CANDIDATES", candidates - 1)
+    with pytest.raises(SizeError) as err:
+        intersection_lattice(arr)
+    assert str(err.value) == (
+        f"intersection lattice exceeds {candidates - 1} candidate subspaces"
+    )
 
 
 # ---------------------------------------------------------------------------
