@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import InputError, SizeError
-from .rationals import primitive, rat, rat_str
+from .rationals import fields, primitive, rat, rat_str
 
 MAX_CANDIDATES = 2 ** 20
 MAX_BRAID_G = 1000
@@ -283,16 +283,9 @@ def diagonal_discrepancy(g, c):
 
 
 def arrangement_from_json(data):
-    if not isinstance(data, dict):
-        raise InputError("arrangement JSON must be an object")
-    if "n" not in data:
-        raise InputError("arrangement JSON missing field 'n'")
-    if "forms" not in data:
-        raise InputError("arrangement JSON missing field 'forms'")
-    n = data["n"]
+    n, forms = fields(data, "arrangement", "n", "forms")
     if type(n) is not int:
         raise InputError("field 'n' must be an integer")
-    forms = data["forms"]
     if not isinstance(forms, list) or not all(isinstance(r, list) for r in forms):
         raise InputError("field 'forms' must be a list of coefficient lists")
     return CentralArrangement(n, [[rat(c) for c in row] for row in forms])

@@ -19,7 +19,7 @@ from .errors import (
 from .flags import donaldson_futaki, flag_from_json
 from .gamma import gamma_at_k, gamma_report_json
 from .monomials import ideal_from_json, summation_check
-from .rationals import rat, rat_str
+from .rationals import fields, rat
 from .verification import run_all
 
 EXIT_OK = 0
@@ -101,20 +101,16 @@ def cmd_df(args):
 
 def cmd_check_summation(args):
     data = _read_json_file(args.file)
-    if not isinstance(data, dict):
-        raise InputError("summation JSON must be an object")
-    for field in ("a0", "parts", "c"):
-        if field not in data:
-            raise InputError(f"summation JSON missing field '{field}'")
-    if not isinstance(data["parts"], list):
+    a0, parts, c = fields(data, "summation", "a0", "parts", "c")
+    if not isinstance(parts, list):
         raise InputError("field 'parts' must be a list")
-    a0 = ideal_from_json(data["a0"])
-    parts = [ideal_from_json(p) for p in data["parts"]]
+    a0 = ideal_from_json(a0)
+    parts = [ideal_from_json(p) for p in parts]
     result = summation_check(
         a0,
         rat(data.get("c0", 0)),
         parts,
-        rat(data["c"]),
+        rat(c),
         denom_bound=data.get("denom_bound", 24),
     )
     _emit(

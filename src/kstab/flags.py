@@ -28,7 +28,7 @@ from math import lcm
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
-from .rationals import rat, rat_str
+from .rationals import fields, rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
 # an accepted base must leave the same residual at these multiples of it
@@ -133,11 +133,7 @@ def validate_flag(flag):
 
 
 def flag_from_json(data):
-    if not isinstance(data, dict):
-        raise InputError("flag JSON must be an object")
-    if "divisors" not in data:
-        raise InputError("flag JSON missing field 'divisors'")
-    divisors = data["divisors"]
+    (divisors,) = fields(data, "flag", "divisors")
     if not isinstance(divisors, list) or not all(
         isinstance(d, dict) for d in divisors
     ):

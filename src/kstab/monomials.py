@@ -13,6 +13,7 @@ from one drop to the next.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
 formula over rational exponent splittings.
 The seeded law corpus that exercises it is verification.law_checks.
+An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
 
 import math
@@ -23,10 +24,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InconclusiveError, InputError, SizeError
-from .rationals import primitive, rat
+from .rationals import fields, primitive, rat
 
 MAX_ARITY = 4
 MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
+# digits of the box's last side, the height no prefix cap counts: a
+# generator past Python's 4,300-digit int-to-string limit cannot be
+# printed, and 100 digits is the cap flags.MAX_S_DIGITS puts on s
+MAX_HEIGHT_DIGITS = 100
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 MAX_HULL_CANDIDATES = 2 ** 16  # candidate normals one hull enumeration may try
 
@@ -49,15 +54,15 @@ def _minimalize(gens):
             continue
         out.append(g)
         least[mid] = min(least.get(mid, last), last)
-    return frozenset(out)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal by its minimal set of exponent vectors."""
+    """A monomial ideal by the sorted tuple of its minimal exponent vectors."""
 
     arity: int
-    generators: frozenset
+    generators: tuple
 
     def __init__(self, arity, generators):
         if type(arity) is not int or arity < 1:
@@ -92,7 +97,7 @@ class MonomialIdeal:
     def __add__(self, other):
         if self.arity != other.arity:
             raise InputError("arity mismatch")
-        return MonomialIdeal(self.arity, self.generators | other.generators)
+        return MonomialIdeal(self.arity, self.generators + other.generators)
 
     def __mul__(self, other):
         if self.arity != other.arity:
@@ -104,23 +109,15 @@ class MonomialIdeal:
         }
         return MonomialIdeal(self.arity, gens)
 
-    def sorted_generators(self):
-        return sorted(self.generators)
-
     def to_json(self):
-        return {"n": self.arity, "generators": [list(g) for g in self.sorted_generators()]}
+        return {"n": self.arity, "generators": [list(g) for g in self.generators]}
 
 
 def ideal_from_json(data):
-    if not isinstance(data, dict):
-        raise InputError("ideal JSON must be an object")
-    for field in ("n", "generators"):
-        if field not in data:
-            raise InputError(f"ideal JSON missing field '{field}'")
-    gens = data["generators"]
+    n, gens = fields(data, "ideal", "n", "generators")
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError("field 'generators' must be a list of exponent lists")
-    return MonomialIdeal(data["n"], [tuple(g) for g in gens])
+    return MonomialIdeal(n, [tuple(g) for g in gens])
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def hull_inequalities(points, n):
     if not points:
         raise InputError("hull needs at least one point")
     projections = [
-        (free, sorted(_minimalize(tuple(p[i] for i in free) for p in points)))
+        (free, _minimalize(tuple(p[i] for i in free) for p in points))
         for d in range(1, n + 1)
         for free in combinations(range(n), d)
     ]
@@ -245,7 +242,7 @@ def newton_polyhedron(ideal):
     coordinate = tuple(
         (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
     )
-    facets = hull_inequalities(ideal.sorted_generators(), n)
+    facets = hull_inequalities(ideal.generators, n)
     return NewtonPolyhedron(source=ideal, inequalities=coordinate + facets)
 
 
@@ -256,7 +253,7 @@ CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
 def _support_normals(supports, n):
     """Facet normals shared by every sum sum_i c_i * P(a_i) with all c_i > 0.
 
-    supports are the distinct sorted generator tuples of the a_i.  In
+    supports are the distinct generator tuples of the a_i, sorted.  In
     a direction a >= 0 the face of sum_i c_i * P_i is sum_i c_i * F_i(a),
     where F_i(a) is the face of P_i on which <a, .> is least.  Its
     direction space sum_i lin F_i(a) is the same for every c_i > 0, so
@@ -273,7 +270,7 @@ def _support_normals(supports, n):
         points = _minimalize(
             tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
         )
-    return tuple(a for a, _ in hull_inequalities(sorted(points), n))
+    return tuple(a for a, _ in hull_inequalities(points, n))
 
 
 def multiplier_ideal(prod):
@@ -349,11 +346,7 @@ def multiplier_ideal(prod):
     n = factors[0][0].arity
     if n > MAX_ARITY:
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
-
-    # frozensets are only partially ordered, so sort their contents
-    return _multiplier(
-        tuple(sorted((tuple(sorted(ideal.generators)), c) for ideal, c in factors)), n
-    )
+    return _multiplier(tuple(sorted((ideal.generators, c) for ideal, c in factors)), n)
 
 
 @lru_cache(maxsize=CACHE_BOUND)
@@ -370,6 +363,10 @@ def _multiplier(key, n):
         raise SizeError(
             f"multiplier-ideal scan capped at {MAX_SCAN_PREFIXES} prefixes "
             f"(this product needs {prefixes})"
+        )
+    if corner[-1] >= 10**MAX_HEIGHT_DIGITS:
+        raise SizeError(
+            f"multiplier-ideal box height capped at {MAX_HEIGHT_DIGITS} digits"
         )
 
     flat, last = [], []
@@ -484,7 +481,7 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]
-            gens |= multiplier_ideal(factors).generators
+            gens.update(multiplier_ideal(factors).generators)
         return MonomialIdeal(arity, gens)
 
     base = c.denominator
@@ -508,9 +505,9 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every way to write total as parts ordered nonnegative integers,
+    in lexicographic order: the parts - 1 bars among total + parts - 1
+    places of stars and bars, the bars' positions taken in order."""
+    places = total + parts - 1
+    for bars in combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))

@@ -5,12 +5,18 @@ q = 1), with the sign on the numerator.  fractions.Fraction already
 keeps gcd(|p|, q) = 1 and q > 0, which is exactly the invariant we
 need, so we use it directly instead of a bespoke class.  A rational
 direction (a hyperplane, a facet normal) is kept as primitive(row).
+rat caps a string's decimal exponent at MAX_EXPONENT, and fields is
+the one shape check of every JSON input document.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, SizeError
+
+# Python's default int-to-string digit limit: Fraction's time to build
+# 10**e grows about quadratically in e
+MAX_EXPONENT = 4_300
 
 
 def rat(value) -> Fraction:
@@ -22,8 +28,15 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            _, e, exponent = text.lower().partition("e")
+            # int() also reads a leading space, which Fraction rejects
+            if e and not exponent[:1].isspace() and abs(int(exponent)) > MAX_EXPONENT:
+                raise SizeError(
+                    f"decimal exponent capped at {MAX_EXPONENT} (got {exponent})"
+                )
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
@@ -46,3 +59,13 @@ def primitive(row):
     if next(x for x in row if x) < 0:
         divisor = -divisor
     return tuple(x // divisor for x in row)
+
+
+def fields(data, what, *names):
+    """The values of the named fields of a JSON object, checked in order."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for name in names:
+        if name not in data:
+            raise InputError(f"{what} JSON missing field '{name}'")
+    return [data[name] for name in names]

@@ -398,7 +398,8 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
 # that stops at its denom_bound and a product past the scan cap) and the
 # stdout, stderr and exit code `kstab check-summation --file F --format
 # FMT` gave for them before the staircase was swept line by line; any
-# change must reproduce them byte for byte.
+# change must reproduce them byte for byte.  The oversized_* entries
+# came later: the two caps that turned their tracebacks into exit 3.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 
@@ -505,6 +506,45 @@ def test_malformed_json_is_an_input_error(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+
+
+# oversized input: a limit with exit 3, never a traceback; each of these
+# once printed one or spent 12 s building 10**10000000
+
+OVERSIZED = {
+    "df-s-exponent": ("df", DF_DATA / "reduced_point.json", "--s", "1e10000000"),
+    "form-exponent": (
+        "lct-arrangement",
+        {"n": 2, "forms": [[1, 0], [0, "1e10000000"]]},
+    ),
+    "summation-c-exponent": (
+        "check-summation",
+        SUMMATION_DATA / "oversized_exponent.json",
+    ),
+    "summation-height-arity-1": (
+        "check-summation",
+        SUMMATION_DATA / "oversized_height_arity1.json",
+    ),
+    "summation-height-arity-2": (
+        "check-summation",
+        SUMMATION_DATA / "oversized_height_arity2.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_is_a_limit(tmp_path, case):
+    command, doc, *extra = OVERSIZED[case]
+    if isinstance(doc, dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        doc = path
+    option = "--flag" if command == "df" else "--file"
+    proc = run_cli(command, option, str(doc), *extra)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("limit reached:")
     assert "Traceback" not in proc.stderr
 
 

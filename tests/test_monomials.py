@@ -31,13 +31,29 @@ def contains(ideal, v):
     return any(all(a >= b for a, b in zip(v, g)) for g in ideal.generators)
 
 
+def assert_canonical(ideal):
+    """generators is the sorted tuple of the minimal exponent vectors."""
+    gens = ideal.generators
+    assert type(gens) is tuple and list(gens) == sorted(set(gens)), gens
+    assert not any(
+        g != h and all(a <= b for a, b in zip(g, h)) for g in gens for h in gens
+    ), gens
+
+
 # ---------------------------------------------------------------------------
 # the ideal type
 
 
 def test_generators_are_minimalized():
     a = MonomialIdeal(2, [(1, 0), (2, 0), (1, 1), (0, 2)])
-    assert a.generators == frozenset({(1, 0), (0, 2)})
+    assert a.generators == ((0, 2), (1, 0))
+    rng = random.Random("canonical")
+    for i in range(200):
+        n = 1 + i % 4
+        (b, c), (d, _) = random_product(rng, n)[0], random_product(rng, n)[0]
+        for ideal in (b, b + d, b * d, multiplier_ideal([(b, c), (d, F(1, 2))])):
+            assert_canonical(ideal)
+            assert_canonical(ideal_from_json(ideal.to_json()))
 
 
 def test_unit_and_membership():
@@ -145,7 +161,7 @@ def test_polyhedron_valid_and_tight_on_generators():
             ],
         )
         poly = newton_polyhedron(a)
-        gens = a.sorted_generators()
+        gens = a.generators
         for normal, offset in poly.inequalities:
             values = [sum(c * g for c, g in zip(normal, gen)) for gen in gens]
             assert all(v >= offset for v in values)
@@ -346,6 +362,7 @@ def test_staircase_matches_box_scan():
     products = [random_product(rng, 1 + i % 4) for i in range(300)]
     for factors in list(EDGE_PRODUCTS.values()) + products:
         assert multiplier_ideal(factors) == box_scan(factors), factors
+        assert_canonical(multiplier_ideal(factors))
 
 
 def test_scan_cap_bounds_the_box():
@@ -363,6 +380,19 @@ def test_scan_cap_bounds_the_box():
     )
 
 
+def test_height_cap_bounds_the_box():
+    # J(x^m) = (x^m) has box height m + 1, as has J(x y^m) = (x y^m) on
+    # its last side: m = 10**100 - 2 is the largest under the cap
+    assert monomials.MAX_HEIGHT_DIGITS == 100
+    m = 10**100 - 2
+    for gen in [(m,), (1, m)]:
+        ideal = MonomialIdeal.principal(gen)
+        assert multiplier_ideal([(ideal, F(1))]) == ideal
+        with pytest.raises(SizeError) as info:
+            multiplier_ideal([(MonomialIdeal.principal(gen[:-1] + (m + 1,)), F(1))])
+        assert str(info.value) == "multiplier-ideal box height capped at 100 digits"
+
+
 def test_support_normals_give_every_weighted_facet():
     # the unit-weight normals of the support set, with offsets from the
     # support function, are exactly the facets of the weighted-point hull
@@ -376,7 +406,7 @@ def test_support_normals_give_every_weighted_facet():
         if not live:
             continue
         scale = math.lcm(*(c.denominator for _, c in live))
-        supports = tuple(sorted({tuple(sorted(a.generators)) for a, _ in live}))
+        supports = tuple(sorted({a.generators for a, _ in live}))
         support = tuple(
             (
                 normal,
@@ -526,6 +556,21 @@ def test_summation_input_contracts():
         summation_check(MonomialIdeal.unit(2), 0, [], 1)
     with pytest.raises(InputError):
         summation_check(MonomialIdeal.unit(3), 0, [XY], 1)
+
+
+def test_compositions_are_stars_and_bars_in_lexicographic_order():
+    # the order matters: the first split past the scan cap names its size
+    def recursive(total, parts):
+        if parts == 1:
+            return [(total,)]
+        return [
+            (first,) + rest
+            for first in range(total + 1)
+            for rest in recursive(total - first, parts - 1)
+        ]
+
+    for total, parts in product(range(12), range(1, 6)):
+        assert list(monomials._compositions(total, parts)) == recursive(total, parts)
 
 
 # ---------------------------------------------------------------------------

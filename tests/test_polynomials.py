@@ -19,6 +19,7 @@ from kstab import (
     rat,
     rat_str,
 )
+from kstab.rationals import MAX_EXPONENT
 from test_flags import df_coefficient, interpolate, stabilized_fit
 
 F = Fraction
@@ -44,6 +45,23 @@ def test_rat_rejects_floats_and_bools():
         rat("not-a-number")
     with pytest.raises(InputError):
         rat("1/0")
+
+
+def test_rat_caps_the_decimal_exponent():
+    # exponents up to the cap parse; past it they are refused before
+    # Fraction builds the power
+    assert MAX_EXPONENT == 4_300
+    assert rat("2.5e-3") == F(1, 400)
+    assert rat("1e4300") == F(10**4300)
+    assert rat("-3E-4300") == F(-3, 10**4300)
+    for text in ("1e4301", "1e-4301", "1e10000000", " 2.5E+99999 "):
+        with pytest.raises(SizeError) as info:
+            rat(text)
+        exponent = text.strip().lower().partition("e")[2]
+        assert str(info.value) == f"decimal exponent capped at 4300 (got {exponent})"
+    for text in ("1e" + "9" * 5000, "1e 99999", "1e"):  # not rationals
+        with pytest.raises(InputError):
+            rat(text)
 
 
 def test_rat_str_round_trip():
