@@ -76,13 +76,15 @@ class Flat:
     """An intersection subspace with its lattice statistics.
 
     member_indices is the maximal set of hyperplanes containing the
-    flat, rank its codimension, count the number of members.
+    flat, as the sorted tuple of their indices; rank is its
+    codimension, count the number of members.
     """
 
-    member_indices: frozenset
+    member_indices: tuple
     rank: int
 
     def __post_init__(self):
+        object.__setattr__(self, "member_indices", tuple(sorted(self.member_indices)))
         if self.rank < 1 or not self.member_indices:
             raise InputError("flat must have rank >= 1 and count >= 1")
 
@@ -90,14 +92,11 @@ class Flat:
     def count(self):
         return len(self.member_indices)
 
-    def sort_key(self):
-        return (self.rank, self.count, tuple(sorted(self.member_indices)))
-
     def to_json(self):
         return {
             "rank": self.rank,
             "count": self.count,
-            "hyperplanes": sorted(self.member_indices),
+            "hyperplanes": list(self.member_indices),
         }
 
 
@@ -115,7 +114,7 @@ class LctCertificate:
 
 def intersection_lattice(arr):
     """All flats of the arrangement, ambient space excluded, sorted by
-    Flat.sort_key.
+    rank, then count, then members.
 
     Closure by joins, with each flat keyed by its closed member set.
     Every form is read as its primitive integer row,
@@ -193,7 +192,7 @@ def intersection_lattice(arr):
             stack.append((closed, rank + 1, residuals))
 
     flats = [Flat(member_indices=members, rank=rk) for members, rk in ranks.items()]
-    flats.sort(key=Flat.sort_key)
+    flats.sort(key=lambda f: (f.rank, f.count, f.member_indices))
     return flats
 
 
@@ -255,7 +254,7 @@ def lct_braid(g):
     lists every hyperplane.
     """
     value = lct_braid_value(g)
-    diagonal = Flat(member_indices=frozenset(range(comb(g, 2))), rank=g - 1)
+    diagonal = Flat(member_indices=range(comb(g, 2)), rank=g - 1)
     return LctCertificate(value=value, minimizers=(diagonal,))
 
 

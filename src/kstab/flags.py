@@ -231,9 +231,10 @@ def tilde_divisors(flag, ks):
 
 
 def _parts(k, s):
-    """The part count n = k*s behind w(k), checked against MAX_KS."""
+    """The part count n = k*s behind w(k), checked against MAX_KS; s > 0
+    is checked where the _Sweep is built."""
     n, rest = divmod(_positive_int("k", k) * s.numerator, s.denominator)
-    if rest or n < 1:
+    if rest:
         raise InputError(f"k*s must be a positive integer (got {rat_str(k * s)})")
     if n > MAX_KS:
         raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
@@ -257,11 +258,19 @@ class _Sweep:
     summing to j that cost no more.  Hence deg_j is nondecreasing and
     the terms min(N, deg_j) are deg_j below the first j with
     deg_j >= N and N from there on (see _total_weight).
+
+    s is checked here, after the flag's caps: it must be positive, and
+    its numerator and denominator are capped at MAX_S_DIGITS digits.
     """
 
     def __init__(self, flag, s):
         self.s = rat(s)
         self._costs = _point_costs(flag)
+        if self.s <= 0:
+            raise InputError("s must be a positive rational")
+        for part in ("denominator", "numerator"):
+            if getattr(self.s, part) >= 10**MAX_S_DIGITS:
+                raise SizeError(f"{part} of s capped at {MAX_S_DIGITS} digits")
         self._rows = [[0] for _ in self._costs]
         self._n = 0
         self._w = {}
@@ -480,11 +489,6 @@ def donaldson_futaki(flag, s):
     checked; the report says so.
     """
     sweep = _Sweep(flag, s)
-    if sweep.s <= 0:
-        raise InputError("s must be a positive rational")
-    for part in ("denominator", "numerator"):
-        if getattr(sweep.s, part) >= 10**MAX_S_DIGITS:
-            raise SizeError(f"{part} of s capped at {MAX_S_DIGITS} digits")
     w2, w1 = _closed_form(sweep._costs, sweep.s)
     last = None
     for base in ESCALATION_BASES:

@@ -120,6 +120,19 @@ def ideal_from_json(data):
     return MonomialIdeal(n, [tuple(g) for g in gens])
 
 
+def summation_from_json(data):
+    """summation_check's keyword arguments from an instance document;
+    denom_bound is passed only when the document sets it."""
+    a0, parts, c = fields(data, "summation", "a0", "parts", "c")
+    if not isinstance(parts, list):
+        raise InputError("field 'parts' must be a list")
+    args = dict(a0=ideal_from_json(a0), parts=[ideal_from_json(p) for p in parts],
+                c0=rat(data.get("c0", 0)), c=rat(c))
+    if "denom_bound" in data:
+        args["denom_bound"] = data["denom_bound"]
+    return args
+
+
 @dataclass(frozen=True)
 class WeightedIdealProduct:
     """Formal product a_1^{c_1} ... a_l^{c_l} with rational c_i >= 0."""
@@ -444,6 +457,14 @@ class SummationResult:
     witness_denominator: int
     lhs: MonomialIdeal
     rhs: MonomialIdeal
+
+    def to_json(self):
+        return {
+            "equal": self.equal,
+            "witness_denominator": self.witness_denominator,
+            "lhs": self.lhs.to_json(),
+            "rhs": self.rhs.to_json(),
+        }
 
 
 def summation_check(a0, c0, parts, c, denom_bound=24):

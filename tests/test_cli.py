@@ -8,7 +8,9 @@ from itertools import product
 
 import pytest
 
-from kstab import GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat
+from kstab import (
+    GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat, verification,
+)
 from kstab.cli import main
 from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, flag_from_json
 from kstab.monomials import MAX_HULL_CANDIDATES
@@ -452,11 +454,51 @@ def test_verify_quick_deterministic():
 VERIFY_DATA = pathlib.Path(__file__).parent / "data" / "verify"
 
 
-@pytest.mark.parametrize("name,extra", [("quick.json", ["--quick"]), ("full.json", [])])
+@pytest.mark.parametrize("name,extra", [
+    ("quick.json", ["--quick"]),
+    ("full.json", []),
+    ("quick.txt", ["--quick", "--format", "text"]),
+])
 def test_verify_checked_in_outputs(name, extra, capsys):
     code = main(["verify", "--seed", "42", *extra])
     assert code == 0
     assert capsys.readouterr().out == (VERIFY_DATA / name).read_text()
+
+
+def test_verify_failing_criterion_exits_1(monkeypatch, capsys):
+    # the whole scorecard still reaches stdout; only the exit code and
+    # the stderr line tell a failure apart
+    def forced(quick, seed):
+        return False, "forced failure"
+
+    monkeypatch.setattr(
+        verification, "CRITERIA", [("C01-braid-lct", forced)] + verification.CRITERIA[1:]
+    )
+    code = main(["verify", "--seed", "42", "--quick"])
+    out = capsys.readouterr()
+    card = json.loads((VERIFY_DATA / "quick.json").read_text())
+    card["criteria"][0].update({"pass": False, "detail": "forced failure"})
+    card["all_pass"] = False
+    assert code == 1
+    assert out.out == json.dumps(card) + "\n"
+    assert "C01-braid-lct: FAIL (" in out.err
+
+
+# lct-braid and gamma-p1 at fixed arguments, and the stdout, stderr and
+# exit code `kstab COMMAND --format FMT` gave for them before every
+# subcommand returned its payload to main; any change must reproduce
+# them byte for byte.
+CLI_EXPECTED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli" / "expected.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
+def test_lct_braid_and_gamma_checked_in_outputs(command, capsys):
+    for fmt, expected in CLI_EXPECTED[command].items():
+        code = main([*command.split(), "--format", fmt])
+        out = capsys.readouterr()
+        assert {"exit": code, "stdout": out.out, "stderr": out.err} == expected, fmt
 
 
 def test_text_format_rendering():

@@ -221,6 +221,16 @@ def test_weight_input_contracts():
     assert weight(POINT, 4, F(1, 2)) == -3
 
 
+def test_weight_checks_s_as_df_does():
+    # a 5,000-digit part of s once ran into Python's int-to-string limit
+    # as a bare ValueError
+    for s in (F(1, 10**5000), F(10**5000)):
+        with pytest.raises(SizeError, match=f"of s capped at {MAX_S_DIGITS} digits"):
+            weight(POINT, 3, s)
+    with pytest.raises(InputError, match="s must be a positive rational"):
+        weight(POINT, 3, -1)
+
+
 @pytest.mark.parametrize("call,args", [
     (weight, (POINT, 2.0, 1)),
     (weight, (POINT, "3", 1)),
