@@ -3,9 +3,10 @@
 Multiplier ideals of monomial data have a purely combinatorial
 description: a monomial x^v belongs to the multiplier ideal of
 a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
-of the weighted Minkowski sum of the Newton polyhedra.  The facet
-normals of that sum depend only on which ideals carry a positive
-weight, so they are computed once per support set.  Scaled by the
+of the weighted Minkowski sum of the Newton polyhedra.  A principal
+factor only translates that sum, so its facet normals depend only on
+which ideals with two or more generators carry a positive weight, and
+they are computed once per such support set.  Scaled by the
 lcm of the weight denominators, the test runs in integers, swept
 line by line through a bounded box: along each line the least last
 exponent of a member is a falling step function, read in closed form
@@ -34,6 +35,9 @@ MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
 MAX_HEIGHT_DIGITS = 100
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 MAX_HULL_CANDIDATES = 2 ** 16  # candidate normals one hull enumeration may try
+# generators one ideal document may list, checked before _minimalize,
+# which is quadratic in them, and before any hull projection is taken
+MAX_GENERATORS = 1_024
 
 
 def _minimalize(gens):
@@ -117,6 +121,10 @@ def ideal_from_json(data):
     n, gens = fields(data, "ideal", "n", "generators")
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError("field 'generators' must be a list of exponent lists")
+    if len(gens) > MAX_GENERATORS:
+        raise SizeError(
+            f"ideal documents capped at {MAX_GENERATORS} generators (got {len(gens)})"
+        )
     return MonomialIdeal(n, [tuple(g) for g in gens])
 
 
@@ -264,18 +272,36 @@ CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
 
 @lru_cache(maxsize=CACHE_BOUND)
 def _support_normals(supports, n):
-    """Facet normals shared by every sum sum_i c_i * P(a_i) with all c_i > 0.
+    """Facet normals of every sum sum_i c_i * P(a_i) + sum_j c_j * P(x^d_j)
+    with all c_i, c_j > 0: the coordinate normals e_1..e_n, then the
+    hull normals with two or more nonzero entries.
 
-    supports are the distinct generator tuples of the a_i, sorted.  In
-    a direction a >= 0 the face of sum_i c_i * P_i is sum_i c_i * F_i(a),
-    where F_i(a) is the face of P_i on which <a, .> is least.  Its
-    direction space sum_i lin F_i(a) is the same for every c_i > 0, so
-    whether it is a facet does not depend on the c_i; nor does the
-    sign of its offset sum_i c_i * min_{g in a_i} <a, g>, which is
-    positive iff some minimum is.  So the primitive normals of the
-    facets with positive offset are those of the unit-weight sum, the
-    hull of the sums of one generator per ideal.  (A repeated ideal
-    adds nothing, as c * P + c' * P = (c + c') * P for convex P.)
+    supports are the distinct generator tuples of the non-principal
+    a_i (two or more generators each), sorted.
+    - A principal factor translates the sum.  P(x^d) = d + R^n_+, so
+      adding c * P(x^d) moves the sum by c * d: its facet normals stay,
+      and only their offsets move, which multiplier_ideal's support
+      function reads off every factor.
+    - The weights do not matter.  In a direction a >= 0 the face of
+      sum_i c_i * P_i is sum_i c_i * F_i(a), where F_i(a) is the face
+      of P_i on which <a, .> is least.  Its direction space
+      sum_i lin F_i(a) is the same for every c_i > 0, so whether it is
+      a facet does not depend on the c_i, and the normals are those of
+      the unit-weight sum, the hull of the sums of one generator per
+      ideal.  (A repeated ideal adds nothing, as c * P + c' * P =
+      (c + c') * P for convex P.)
+    - Each e_i is a facet normal of every conv(Q) + R^n_+: the face on
+      which x_i is least holds a point p and the rays p + R_+ e_j,
+      j != i, so it has dimension n - 1.
+    - A facet normal a >= 0 with support F, |F| >= 2, has a positive
+      offset: were it 0, its face would lie in {x >= 0 : x_F = 0}, of
+      dimension n - |F| < n - 1.  hull_inequalities lists every facet
+      with positive offset, so its normals with two or more nonzero
+      entries, with the e_i, are every facet normal of the sum,
+      wherever a translation puts it.
+    The hull cap counts the same candidates as on the sum with its
+    principal factors: a sum with one point translates every
+    projection, and its minimal projections with it.
     """
     points = {(0,) * n}
     for gens in supports:
@@ -283,7 +309,10 @@ def _support_normals(supports, n):
         points = _minimalize(
             tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
         )
-    return tuple(a for a, _ in hull_inequalities(points, n))
+    coordinate = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return coordinate + tuple(
+        a for a, _ in hull_inequalities(points, n) if a.count(0) < n - 1
+    )
 
 
 def multiplier_ideal(prod):
@@ -294,10 +323,12 @@ def multiplier_ideal(prod):
     H-inequality strictly (P is full-dimensional, so topological
     interior is exactly strict inequality).  The facets of scale * P
     are primitive integer pairs (a, b): the normals a depend only on
-    the support set (_support_normals), and b is the support function
-    sum_i w_i * min_{g in a_i} <a, g> with w_i = c_i * scale.  The
-    condition <a, v + 1> > b / scale reads <a, v> >= T in integers,
-    where T = b // scale + 1 - sum(a).
+    the support set of the non-principal factors (_support_normals),
+    and b is the support function sum_i w_i * min_{g in a_i} <a, g>
+    over every factor, with w_i = c_i * scale.  The condition
+    <a, v + 1> > b / scale reads <a, v> >= T in integers, where
+    T = b // scale + 1 - sum(a); a facet with T <= 0 holds on the whole
+    orthant, as a >= 0, and is dropped.
 
     The scan box is safe: let corner_j = sum_i c_i * maxgen_{i,j} + 1.
     If v is a member with v_j >= corner_j, write the point
@@ -383,13 +414,15 @@ def _multiplier(key, n):
         )
 
     flat, last = [], []
-    for a in _support_normals(tuple(sorted({gens for gens, _ in key})), n):
+    supports = tuple(sorted({gens for gens, _ in key if len(gens) > 1}))
+    for a in _support_normals(supports, n):
         b = sum(
             w * min(sum(x * y for x, y in zip(a, g)) for g in gens)
             for w, (gens, _) in zip(weights, key)
         )
         t = b // scale + 1 - sum(a)
-        (last if a[-1] else flat).append((a[:-1], a[-1], t))
+        if t > 0:  # else <a, v> >= t holds on the whole orthant
+            (last if a[-1] else flat).append((a[:-1], a[-1], t))
 
     if n == 1:  # no prefix entries: the one generator is (h(),)
         return MonomialIdeal(1, [(max([0] + [-(-t // an) for _, an, t in last]),)])

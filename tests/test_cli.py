@@ -402,6 +402,8 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
 # FMT` gave for them before the staircase was swept line by line; any
 # change must reproduce them byte for byte.  The oversized_* entries
 # came later: the two caps that turned their tracebacks into exit 3.
+# principal_parts.json (a principal a0 and part beside a two-generator
+# part) was recorded before facet normals left principal factors out.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 
@@ -571,6 +573,11 @@ OVERSIZED = {
     "summation-height-arity-2": (
         "check-summation",
         SUMMATION_DATA / "oversized_height_arity2.json",
+    ),
+    # one past monomials.MAX_GENERATORS; 8,436 took 12 s to exit 3
+    "summation-generators": (
+        "check-summation",
+        dict(SUMMATION, parts=[{"n": 1, "generators": [[e] for e in range(1025)]}]),
     ),
 }
 

@@ -82,6 +82,22 @@ def test_ideal_input_contracts():
         ideal_from_json({"n": 2})
 
 
+def test_generator_cap_bounds_an_ideal_document(monkeypatch):
+    # the 1,024 generators (i, 1023 - i) are read; one more listed
+    # generator, even a dominated one, is refused before the ideal is built
+    assert monomials.MAX_GENERATORS == 1_024
+    gens = [[i, 1023 - i] for i in range(1024)]
+    assert len(ideal_from_json({"n": 2, "generators": gens}).generators) == 1024
+
+    def no_ideal(*args):
+        raise AssertionError("ideal built past the generator cap")
+
+    monkeypatch.setattr(monomials, "MonomialIdeal", no_ideal)
+    with pytest.raises(SizeError) as info:
+        ideal_from_json({"n": 2, "generators": gens + [[1024, 0]]})
+    assert str(info.value) == "ideal documents capped at 1024 generators (got 1025)"
+
+
 def test_json_round_trip():
     a = MonomialIdeal(2, [(2, 0), (0, 3)])
     assert ideal_from_json(a.to_json()) == a
@@ -135,6 +151,10 @@ def test_hull_candidate_cap(monkeypatch):
     ideal = MonomialIdeal(4, degree_monomials(4, 6))
     with pytest.raises(SizeError, match="capped at 65536 .*need 1929505\\)$"):
         multiplier_ideal([(ideal, 1)])
+    # a principal factor translates every projection: the same count
+    x = MonomialIdeal.principal((1, 0, 2, 0))
+    with pytest.raises(SizeError, match="capped at 65536 .*need 1929505\\)$"):
+        multiplier_ideal([(ideal, 1), (x, F(1, 2))])
     with pytest.raises(SizeError, match="capped at 65536"):
         lct_monomial(ideal)
 
@@ -394,10 +414,12 @@ def test_height_cap_bounds_the_box():
 
 
 def test_support_normals_give_every_weighted_facet():
-    # the unit-weight normals of the support set, with offsets from the
-    # support function, are exactly the facets of the weighted-point hull
+    # the normals of the non-principal supports, with offsets from the
+    # support function over every factor, are exactly the facets of the
+    # weighted-point hull where the offset is positive, and coordinate
+    # normals where it is 0
     rng = random.Random("support-normals")
-    zero_weights = 0
+    zero_weights = principal = 0
     for i in range(300):
         n = 1 + i % 4
         factors = random_product(rng, n)
@@ -406,7 +428,10 @@ def test_support_normals_give_every_weighted_facet():
         if not live:
             continue
         scale = math.lcm(*(c.denominator for _, c in live))
-        supports = tuple(sorted({a.generators for a, _ in live}))
+        supports = tuple(
+            sorted({a.generators for a, _ in live if len(a.generators) > 1})
+        )
+        principal += len(supports) < len(live)
         support = tuple(
             (
                 normal,
@@ -419,8 +444,31 @@ def test_support_normals_give_every_weighted_facet():
             for normal in _support_normals(supports, n)
         )
         expected = reference_hull(weighted_points(live, scale), n)
-        assert sorted(support) == list(expected), factors
-    assert zero_weights > 0
+        assert sorted(f for f in support if f[1] > 0) == list(expected), factors
+        assert all(
+            sorted(normal) == [0] * (n - 1) + [1] for normal, b in support if b == 0
+        ), factors
+    assert zero_weights > 0 and principal > 0
+
+
+def test_principal_factors_share_the_support_normals():
+    # a principal factor, the unit ideal among them, translates the sum:
+    # every product of one non-principal ideal with principal factors
+    # takes its normals from one cache entry
+    monomials._multiplier.cache_clear()
+    monomials._support_normals.cache_clear()
+    a = MonomialIdeal(3, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
+    principals = [
+        (MonomialIdeal.unit(3), F(3)),
+        (MonomialIdeal.principal((1, 0, 2)), F(3, 2)),
+        (MonomialIdeal.principal((0, 2, 0)), F(1, 3)),
+        (MonomialIdeal.principal((4, 1, 1)), F(2)),
+    ]
+    products = [[(a, F(5, 3))]] + [[(a, F(5, 3)), p] for p in principals]
+    products.append([(a, F(1, 2))] + principals[1:3])
+    for factors in products:
+        assert multiplier_ideal(factors) == box_scan(factors), factors
+    assert monomials._support_normals.cache_info().currsize == 1
 
 
 def test_multiplier_cache_ignores_factor_order():
