@@ -6,13 +6,16 @@ a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
 of the weighted Minkowski sum of the Newton polyhedra.  A principal
 factor only translates that sum, so its facet normals depend only on
 which ideals with two or more generators carry a positive weight, and
-they are computed once per such support set.  Scaled by the
-lcm of the weight denominators, the test runs in integers, swept
-line by line through a bounded box: along each line the least last
-exponent of a member is a falling step function, read in closed form
-from one drop to the next.  That makes this module an exact,
+they are computed once per such support set, as is each ideal's
+least value on them; a facet offset is then an integer sum.  Scaled
+by the lcm of the weight denominators, the test runs in integers,
+swept line by line through a bounded box: along each line the least
+last exponent of a member is a falling step function, read in closed
+form from one drop to the next, and the sweep emits the minimal
+generators already sorted.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
-formula over rational exponent splittings.
+formula over rational exponent splittings, where each refinement of
+the splitting grid sweeps only the splittings it adds.
 The seeded law corpus that exercises it is verification.law_checks.
 An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
@@ -85,6 +88,14 @@ class MonomialIdeal:
         object.__setattr__(self, "generators", _minimalize(gens))
 
     @classmethod
+    def _minimal(cls, arity, generators):
+        """The ideal of a tuple of generators already minimal and sorted."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "arity", arity)
+        object.__setattr__(ideal, "generators", generators)
+        return ideal
+
+    @classmethod
     def unit(cls, arity):
         return cls(arity, [(0,) * arity])
 
@@ -152,7 +163,7 @@ class WeightedIdealProduct:
         arity = None
         for ideal, c in factors:
             c = rat(c)
-            if c < 0:
+            if c.numerator < 0:
                 raise InputError("exponents must be >= 0")
             if arity is None:
                 arity = ideal.arity
@@ -325,7 +336,8 @@ def multiplier_ideal(prod):
     are primitive integer pairs (a, b): the normals a depend only on
     the support set of the non-principal factors (_support_normals),
     and b is the support function sum_i w_i * min_{g in a_i} <a, g>
-    over every factor, with w_i = c_i * scale.  The condition
+    over every factor, with w_i = c_i * scale; each min is read from
+    _minima, cached per ideal and support set.  The condition
     <a, v + 1> > b / scale reads <a, v> >= T in integers, where
     T = b // scale + 1 - sum(a); a facet with T <= 0 holds on the whole
     orthant, as a >= 0, and is dropped.
@@ -390,17 +402,34 @@ def multiplier_ideal(prod):
     n = factors[0][0].arity
     if n > MAX_ARITY:
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
-    return _multiplier(tuple(sorted((ideal.generators, c) for ideal, c in factors)), n)
+    key = sorted((ideal.generators, c.numerator, c.denominator) for ideal, c in factors)
+    return _multiplier(tuple(key), n)
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _minima(gens, supports, n):
+    """min <a, g> over gens for each normal a of _support_normals(supports, n)."""
+    return tuple(
+        min(sum(x * y for x, y in zip(a, g)) for g in gens)
+        for a in _support_normals(supports, n)
+    )
 
 
 @lru_cache(maxsize=CACHE_BOUND)
 def _multiplier(key, n):
-    """multiplier_ideal of the product key: sorted (generators, weight) pairs."""
-    scale = math.lcm(*(c.denominator for _, c in key))
-    weights = [c.numerator * (scale // c.denominator) for _, c in key]
+    """multiplier_ideal of the product key: sorted (generators, numerator,
+    denominator) triples, one per factor of positive weight.
+
+    The sweep emits only step points that pass the minimality test
+    proved in multiplier_ideal, with u in product order and x rising
+    along each line, so members is already the sorted tuple of minimal
+    generators and the result is built from it as it is.
+    """
+    scale = math.lcm(*(d for _, _, d in key))
+    weights = [p * (scale // d) for _, p, d in key]
     corner = [
         sum(w * m for w, m in zip(weights, col)) // scale + 1
-        for col in zip(*(map(max, zip(*gens)) for gens, _ in key))
+        for col in zip(*(map(max, zip(*gens)) for gens, _, _ in key))
     ]
     prefixes = math.prod(c + 1 for c in corner[:-1])
     if prefixes > MAX_SCAN_PREFIXES:
@@ -414,18 +443,17 @@ def _multiplier(key, n):
         )
 
     flat, last = [], []
-    supports = tuple(sorted({gens for gens, _ in key if len(gens) > 1}))
-    for a in _support_normals(supports, n):
-        b = sum(
-            w * min(sum(x * y for x, y in zip(a, g)) for g in gens)
-            for w, (gens, _) in zip(weights, key)
-        )
+    supports = tuple(sorted({gens for gens, _, _ in key if len(gens) > 1}))
+    minima = [_minima(gens, supports, n) for gens, _, _ in key]
+    for a, *mins in zip(_support_normals(supports, n), *minima):
+        b = sum(w * m for w, m in zip(weights, mins))
         t = b // scale + 1 - sum(a)
         if t > 0:  # else <a, v> >= t holds on the whole orthant
             (last if a[-1] else flat).append((a[:-1], a[-1], t))
 
     if n == 1:  # no prefix entries: the one generator is (h(),)
-        return MonomialIdeal(1, [(max([0] + [-(-t // an) for _, an, t in last]),)])
+        h = max([0] + [-(-t // an) for _, an, t in last])
+        return MonomialIdeal._minimal(1, ((h,),))
 
     top = corner[-2]
     lines = {}  # line u -> (xs, hs): the entries x where h steps, and h there
@@ -460,7 +488,7 @@ def _multiplier(key, n):
             x = max(-(((h - 1) * an - r) // ax) for ax, an, r in moving)
     if not members:
         raise AssertionError("multiplier ideal of a finite product is nonzero")
-    return MonomialIdeal(n, members)
+    return MonomialIdeal._minimal(n, tuple(members))
 
 
 def _height_at(line, x):
@@ -512,6 +540,16 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     of them is the witness.  A monomial of the RHS outside the LHS
     is a proven mismatch at that D.  Hitting denom_bound otherwise
     raises InconclusiveError, which is distinct from a mismatch.
+
+    Only the new splittings of a refinement are swept.  A splitting m
+    of c * 2D units whose entries are all even has c_i = m_i / (2D) =
+    (m_i / 2) / D, so it is the splitting m / 2 at D, with the same
+    product and the same ideal; and every splitting at D arises so.
+    Hence the RHS at 2D is the RHS at D plus the ideals of the
+    splittings with an odd entry.  MAX_SPLITS still counts every
+    splitting at each D, so the cap trips at the same D as a full
+    sweep would.  The parts together may have at most MAX_GENERATORS
+    generators, checked before their sum is built.
     """
     c0, c = rat(c0), rat(c)
     if type(denom_bound) is not int or denom_bound < 1:
@@ -521,28 +559,36 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     arity = parts[0].arity
     if a0.arity != arity or any(p.arity != arity for p in parts):
         raise InputError("all ideals must share one arity")
+    summed = sum(len(p.generators) for p in parts)
+    if summed > MAX_GENERATORS:
+        raise SizeError(
+            f"summed parts capped at {MAX_GENERATORS} generators (got {summed})"
+        )
 
     total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
 
-    def rhs_at(D):
-        gens = set()
+    def rhs_at(D, prev):
+        """The RHS at D, given prev, the RHS at D / 2 (None at the first D)."""
+        gens = [] if prev is None else list(prev.generators)
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
         units = c.numerator * D // c.denominator
         if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
             raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
         for split in _compositions(units, len(parts)):
+            if prev is not None and not any(m % 2 for m in split):
+                continue  # the splitting split / 2 at D / 2
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]
-            gens.update(multiplier_ideal(factors).generators)
+            gens.extend(multiplier_ideal(factors).generators)
         return MonomialIdeal(arity, gens)
 
     base = c.denominator
     D = base
     prev = prev_D = None
     while D <= denom_bound:
-        cur = rhs_at(D)
+        cur = rhs_at(D, prev)
         if not cur.issubset(lhs):
             return SummationResult(
                 equal=False, witness_denominator=D, lhs=lhs, rhs=cur

@@ -579,6 +579,16 @@ OVERSIZED = {
         "check-summation",
         dict(SUMMATION, parts=[{"n": 1, "generators": [[e] for e in range(1025)]}]),
     ),
+    # five parts of 205 minimal generators each: one past MAX_GENERATORS
+    # summed, though each part is under it
+    "summation-summed-generators": (
+        "check-summation",
+        dict(
+            SUMMATION,
+            a0={"n": 2, "generators": [[0, 0]]},
+            parts=[{"n": 2, "generators": [[i, 204 - i] for i in range(205)]}] * 5,
+        ),
+    ),
 }
 
 

@@ -18,7 +18,7 @@ from kstab import (
     newton_polyhedron,
     summation_check,
 )
-from kstab import monomials
+from kstab import monomials, verification
 from kstab.errors import InconclusiveError
 from kstab.monomials import _support_normals, hull_inequalities, ideal_from_json
 
@@ -381,8 +381,11 @@ def test_staircase_matches_box_scan():
     rng = random.Random("staircase")
     products = [random_product(rng, 1 + i % 4) for i in range(300)]
     for factors in list(EDGE_PRODUCTS.values()) + products:
-        assert multiplier_ideal(factors) == box_scan(factors), factors
-        assert_canonical(multiplier_ideal(factors))
+        got = multiplier_ideal(factors)
+        assert got == box_scan(factors), factors
+        assert_canonical(got)
+        # the sweep's members are kept as they come, never minimalized
+        assert got.generators == monomials._minimalize(got.generators), factors
 
 
 def test_scan_cap_bounds_the_box():
@@ -481,9 +484,23 @@ def test_multiplier_cache_ignores_factor_order():
     assert second is first
 
 
+def test_repeated_ideal_at_two_weights_ignores_factor_order():
+    # the key's two factors tie on their generators; (1, 2) sorts before
+    # (1, 3) as a numerator-denominator pair, 1/3 before 1/2 as a Fraction
+    monomials._multiplier.cache_clear()
+    a = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
+    first = multiplier_ideal([(a, F(1, 2)), (a, F(1, 3))])
+    second = multiplier_ideal([(a, F(1, 3)), (a, F(1, 2))])
+    assert monomials._multiplier.cache_info().currsize == 1
+    assert second is first
+    # c * P + c' * P = (c + c') * P
+    assert first == multiplier_ideal([(a, F(5, 6))])
+    assert first == box_scan([(a, F(1, 2)), (a, F(1, 3))])
+
+
 def test_caches_stay_within_their_bound(monkeypatch):
     # the module's caches, rebuilt with a bound of 5 around the same functions
-    for name in ("_multiplier", "_support_normals"):
+    for name in ("_multiplier", "_support_normals", "_minima"):
         cached = getattr(monomials, name)
         assert cached.cache_info().maxsize == monomials.CACHE_BOUND
         monkeypatch.setattr(monomials, name, lru_cache(maxsize=5)(cached.__wrapped__))
@@ -492,6 +509,7 @@ def test_caches_stay_within_their_bound(monkeypatch):
         results.append(multiplier_ideal([(MonomialIdeal(2, [(e, 0), (0, 1)]), F(1))]))
         assert monomials._multiplier.cache_info().currsize <= 5
         assert monomials._support_normals.cache_info().currsize <= 5
+        assert monomials._minima.cache_info().currsize <= 5
     newest = multiplier_ideal([(MonomialIdeal(2, [(12, 0), (0, 1)]), F(1))])
     oldest = multiplier_ideal([(MonomialIdeal(2, [(1, 0), (0, 1)]), F(1))])
     assert newest is results[-1]
@@ -592,6 +610,65 @@ def test_summation_does_not_stop_on_a_stalled_refinement():
     assert result.equal
     assert result.lhs.is_unit()
     assert result.witness_denominator == 4
+
+
+def reference_summation(a0, c0, parts, c, denom_bound=24):
+    """(equal, witness_denominator, lhs, rhs) of summation_check, with
+    every splitting at every D swept through multiplier_ideal; None
+    where the sweep reaches denom_bound."""
+    arity = a0.arity
+    total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
+    lhs = multiplier_ideal([(a0, c0), (total, c)])
+    D, prev, prev_D = c.denominator, None, None
+    while D <= denom_bound:
+        units = c.numerator * D // c.denominator
+        gens = []
+        for split in product(range(units + 1), repeat=len(parts)):
+            if sum(split) == units:
+                factors = [(a0, c0)] + [(p, F(m, D)) for p, m in zip(parts, split)]
+                gens.extend(multiplier_ideal(factors).generators)
+        cur = MonomialIdeal(arity, gens)
+        if not cur.issubset(lhs):
+            return False, D, lhs, cur
+        if cur == prev == lhs:
+            return True, prev_D, lhs, cur
+        prev, prev_D = cur, D
+        D *= 2
+    return None
+
+
+def test_summation_sweeps_only_the_new_splittings():
+    # the RHS at 2D reuses the RHS at D and adds the splittings with an
+    # odd entry; the reference sweeps them all, on the verify corpus and
+    # on the hand case that stalls at D = 1 and 2
+    x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
+    instances = verification._random_summation_instances(7, 40)
+    instances.append((x, F(1, 2), [x, y], F(1)))
+    witnesses = set()
+    for a0, c0, parts, c in instances:
+        result = summation_check(a0, c0, parts, c)
+        got = (result.equal, result.witness_denominator, result.lhs, result.rhs)
+        assert got == reference_summation(a0, c0, parts, c), (a0, c0, parts, c)
+        witnesses.add(result.witness_denominator)
+    assert {1, 2, 4} <= witnesses
+
+
+def test_summed_parts_are_capped_before_their_sum_is_built(monkeypatch):
+    # at the cap the check runs; one generator past it, the parts are
+    # refused before MonomialIdeal builds their sum
+    monkeypatch.setattr(monomials, "MAX_GENERATORS", 3)
+    unit = MonomialIdeal.unit(2)
+    parts = [XY, MonomialIdeal.principal((1, 1))]
+    assert summation_check(unit, 0, parts, 1).equal
+    parts.append(MonomialIdeal.principal((2, 0)))
+
+    def no_ideal(*args):
+        raise AssertionError("summed parts built past the generator cap")
+
+    monkeypatch.setattr(monomials, "MonomialIdeal", no_ideal)
+    with pytest.raises(SizeError) as info:
+        summation_check(unit, 0, parts, 1)
+    assert str(info.value) == "summed parts capped at 3 generators (got 4)"
 
 
 def test_summation_inconclusive_is_distinct_from_false():
