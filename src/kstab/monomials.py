@@ -15,7 +15,10 @@ form from one drop to the next, and the sweep emits the minimal
 generators already sorted.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
 formula over rational exponent splittings, where each refinement of
-the splitting grid sweeps only the splittings it adds.
+the splitting grid sweeps only the splittings it adds, and the first
+refinement whose sum equals the left side is the witness: every
+refinement is checked to lie in the left side, so equality there is
+proven, and a further refinement could only rebuild the same ideal.
 The seeded law corpus that exercises it is verification.law_checks.
 An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
@@ -128,7 +131,9 @@ class MonomialIdeal:
         return {"n": self.arity, "generators": [list(g) for g in self.generators]}
 
 
-def ideal_from_json(data):
+def _ideal_fields(data):
+    """(n, generators) of an ideal document, its shape and its listed
+    generators checked before any ideal is built from them."""
     n, gens = fields(data, "ideal", "n", "generators")
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError("field 'generators' must be a list of exponent lists")
@@ -136,16 +141,31 @@ def ideal_from_json(data):
         raise SizeError(
             f"ideal documents capped at {MAX_GENERATORS} generators (got {len(gens)})"
         )
-    return MonomialIdeal(n, [tuple(g) for g in gens])
+    return n, [tuple(g) for g in gens]
+
+
+def ideal_from_json(data):
+    return MonomialIdeal(*_ideal_fields(data))
+
+
+def _cap_summed_parts(count):
+    if count > MAX_GENERATORS:
+        raise SizeError(
+            f"summed parts capped at {MAX_GENERATORS} generators (got {count})"
+        )
 
 
 def summation_from_json(data):
     """summation_check's keyword arguments from an instance document;
-    denom_bound is passed only when the document sets it."""
+    denom_bound is passed only when the document sets it.  The parts'
+    listed generators are summed and capped before any ideal is built."""
     a0, parts, c = fields(data, "summation", "a0", "parts", "c")
     if not isinstance(parts, list):
         raise InputError("field 'parts' must be a list")
-    args = dict(a0=ideal_from_json(a0), parts=[ideal_from_json(p) for p in parts],
+    a0 = _ideal_fields(a0)
+    parts = [_ideal_fields(p) for p in parts]
+    _cap_summed_parts(sum(len(gens) for _, gens in parts))
+    args = dict(a0=MonomialIdeal(*a0), parts=[MonomialIdeal(*p) for p in parts],
                 c0=rat(data.get("c0", 0)), c=rat(c))
     if "denom_bound" in data:
         args["denom_bound"] = data["denom_bound"]
@@ -531,15 +551,24 @@ class SummationResult:
 def summation_check(a0, c0, parts, c, denom_bound=24):
     """Check the splitting identity for multiplier ideals of a sum.
 
-    LHS is the multiplier ideal of a0^{c0} * (sum parts)^c.  RHS is
+    LHS is the multiplier ideal of a0^{c0} * (sum parts)^c.  RHS(D) is
     the ideal sum over all splittings c = c_1 + .. + c_l with
-    denominators dividing D.  The RHS grows with grid refinement and
-    can stay put for a while before growing again, so agreement of
-    two refinements alone proves nothing.  The sweep accepts once two
-    consecutive refinements D, 2D agree and match the LHS; the first
-    of them is the witness.  A monomial of the RHS outside the LHS
-    is a proven mismatch at that D.  Hitting denom_bound otherwise
-    raises InconclusiveError, which is distinct from a mismatch.
+    denominators dividing D, for D = den(c), 2 den(c), 4 den(c), ..
+    up to denom_bound.  The RHS grows with grid refinement and can
+    stay put for a while before growing again, so agreement of two
+    refinements alone proves nothing.  The proof of equality is this:
+    - That RHS(D) lies in the LHS is checked at every D; a monomial
+      of RHS(D) outside the LHS is a proven mismatch at that D.
+    - So RHS(D) = LHS is equality, and the first such D is the
+      witness.  The sweep returns there without building RHS(2D): it
+      holds RHS(D), and it lies in the LHS by the easy inclusion of
+      the formula, so it could only be the same ideal again.
+    The witness is returned only where the refinement 2D is within the
+    sweep's limits, read without sweeping it: 2D <= denom_bound, and
+    its C(c * 2D + l - 1, l - 1) splittings within MAX_SPLITS.  So the
+    sweep stops where it did when it built RHS(2D) to confirm: past
+    denom_bound it raises InconclusiveError, which is distinct from a
+    mismatch, and past MAX_SPLITS, SizeError.
 
     Only the new splittings of a refinement are swept.  A splitting m
     of c * 2D units whose entries are all even has c_i = m_i / (2D) =
@@ -559,23 +588,24 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     arity = parts[0].arity
     if a0.arity != arity or any(p.arity != arity for p in parts):
         raise InputError("all ideals must share one arity")
-    summed = sum(len(p.generators) for p in parts)
-    if summed > MAX_GENERATORS:
-        raise SizeError(
-            f"summed parts capped at {MAX_GENERATORS} generators (got {summed})"
-        )
+    _cap_summed_parts(sum(len(p.generators) for p in parts))
 
     total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
 
-    def rhs_at(D, prev):
-        """The RHS at D, given prev, the RHS at D / 2 (None at the first D)."""
-        gens = [] if prev is None else list(prev.generators)
+    def units_at(D):
+        """c * D, the units of 1/D that c splits into; SizeError when
+        their splittings among the parts pass MAX_SPLITS."""
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
         units = c.numerator * D // c.denominator
         if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
             raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
-        for split in _compositions(units, len(parts)):
+        return units
+
+    def rhs_at(D, prev):
+        """The RHS at D, given prev, the RHS at D / 2 (None at the first D)."""
+        gens = [] if prev is None else list(prev.generators)
+        for split in _compositions(units_at(D), len(parts)):
             if prev is not None and not any(m % 2 for m in split):
                 continue  # the splitting split / 2 at D / 2
             factors = [(a0, c0)] + [
@@ -584,20 +614,20 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
             gens.extend(multiplier_ideal(factors).generators)
         return MonomialIdeal(arity, gens)
 
-    base = c.denominator
-    D = base
-    prev = prev_D = None
+    D = c.denominator
+    prev = None
     while D <= denom_bound:
         cur = rhs_at(D, prev)
         if not cur.issubset(lhs):
             return SummationResult(
                 equal=False, witness_denominator=D, lhs=lhs, rhs=cur
             )
-        if cur == prev == lhs:
+        if cur == lhs and 2 * D <= denom_bound:
+            units_at(2 * D)  # past MAX_SPLITS, raise as building RHS(2D) would
             return SummationResult(
-                equal=True, witness_denominator=prev_D, lhs=lhs, rhs=cur
+                equal=True, witness_denominator=D, lhs=lhs, rhs=cur
             )
-        prev, prev_D = cur, D
+        prev = cur
         D *= 2
     raise InconclusiveError(
         f"splitting sum did not stabilize with denominators up to {denom_bound}"

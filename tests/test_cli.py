@@ -404,6 +404,10 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
 # came later: the two caps that turned their tracebacks into exit 3.
 # principal_parts.json (a principal a0 and part beside a two-generator
 # part) was recorded before facet normals left principal factors out.
+# confirm_past_scan_cap.json equals at D = 1, and the splitting (1/2, 1/2)
+# at D = 2 needs 63,504 box prefixes: it exited 3 on the scan cap while
+# the sweep built RHS(2D) to confirm RHS(D) = LHS, and answers since the
+# sweep accepts at the first refinement equal to the LHS.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 

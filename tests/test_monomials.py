@@ -1,6 +1,8 @@
 """Monomial multiplier ideals: polyhedra, laws, summation formula."""
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +22,12 @@ from kstab import (
 )
 from kstab import monomials, verification
 from kstab.errors import InconclusiveError
-from kstab.monomials import _support_normals, hull_inequalities, ideal_from_json
+from kstab.monomials import (
+    _support_normals,
+    hull_inequalities,
+    ideal_from_json,
+    summation_from_json,
+)
 
 F = Fraction
 
@@ -615,7 +622,9 @@ def test_summation_does_not_stop_on_a_stalled_refinement():
 def reference_summation(a0, c0, parts, c, denom_bound=24):
     """(equal, witness_denominator, lhs, rhs) of summation_check, with
     every splitting at every D swept through multiplier_ideal; None
-    where the sweep reaches denom_bound."""
+    where the sweep reaches denom_bound.  It accepts only once RHS(2D)
+    confirms RHS(D) = LHS, so where it answers it also shows that
+    accepting at the first equal refinement changes no answer."""
     arity = a0.arity
     total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
@@ -637,20 +646,239 @@ def reference_summation(a0, c0, parts, c, denom_bound=24):
     return None
 
 
-def test_summation_sweeps_only_the_new_splittings():
+def spy_on_multiplier_ideal(monkeypatch):
+    """The list the part weights of every multiplier_ideal call go to."""
+    calls, real = [], monomials.multiplier_ideal
+
+    def spy(factors):
+        calls.append([w for _, w in factors[1:]])
+        return real(factors)
+
+    monkeypatch.setattr(monomials, "multiplier_ideal", spy)
+    return calls
+
+
+def test_summation_sweeps_only_the_new_splittings(monkeypatch):
     # the RHS at 2D reuses the RHS at D and adds the splittings with an
     # odd entry; the reference sweeps them all, on the verify corpus and
-    # on the hand case that stalls at D = 1 and 2
+    # on the hand case that stalls at D = 1 and 2.  Every RHS(D) lies in
+    # the LHS, so RHS(D) = LHS is proven equality and the sweep stops
+    # there: no part weight, nor the LHS's c on the sum, has a
+    # denominator beyond the witness, and an instance equal at its first
+    # D sweeps nothing at 2D
+    calls = spy_on_multiplier_ideal(monkeypatch)
     x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
     instances = verification._random_summation_instances(7, 40)
     instances.append((x, F(1, 2), [x, y], F(1)))
-    witnesses = set()
+    witnesses, first = set(), 0
     for a0, c0, parts, c in instances:
+        calls.clear()
         result = summation_check(a0, c0, parts, c)
-        got = (result.equal, result.witness_denominator, result.lhs, result.rhs)
+        D = result.witness_denominator
+        assert calls and all(D % w.denominator == 0 for ws in calls for w in ws)
+        got = (result.equal, D, result.lhs, result.rhs)
         assert got == reference_summation(a0, c0, parts, c), (a0, c0, parts, c)
-        witnesses.add(result.witness_denominator)
-    assert {1, 2, 4} <= witnesses
+        witnesses.add(D)
+        first += D == c.denominator
+    assert {1, 2, 4} <= witnesses and first > 20
+
+
+def test_summation_accept_guards_read_the_refinement_without_sweeping_it(
+    monkeypatch,
+):
+    # unit = J((x, y)^1) = J((x, y)^1 (x, y)^0) at D = 1; D = 1 has 2
+    # splittings of c = 1 between two parts, and 2D = 2 has 3
+    unit = MonomialIdeal.unit(2)
+    calls = spy_on_multiplier_ideal(monkeypatch)
+    monkeypatch.setattr(monomials, "MAX_SPLITS", 3)
+    result = summation_check(unit, 0, [XY, XY], 1)
+    assert (result.equal, result.witness_denominator) == (True, 1)
+    assert result.lhs == result.rhs == unit
+    assert calls == [[1], [0, 1], [1, 0]]  # the LHS, then D = 1 only
+    monkeypatch.setattr(monomials, "MAX_SPLITS", 2)
+    with pytest.raises(SizeError) as info:
+        summation_check(unit, 0, [XY, XY], 1)
+    assert str(info.value) == "more than 2 splittings at denominator 2"
+    monkeypatch.setattr(monomials, "MAX_SPLITS", 3)
+    assert summation_check(unit, 0, [XY, XY], 1, denom_bound=2).equal
+    with pytest.raises(InconclusiveError):
+        summation_check(unit, 0, [XY, XY], 1, denom_bound=1)
+
+
+# An exact oracle for the summation formula over all real splittings
+# lambda >= 0, sum lambda_i = c.  By Howald, x^v is in
+# J(a0^c0 prod a_i^lambda_i) iff v + 1 is interior to
+# P_lambda = c0 P(a0) + sum lambda_i P(a_i): <a, v + 1> > h_lambda(a) =
+# c0 h_0(a) + sum lambda_i h_i(a) for every facet normal a of P_lambda,
+# where h_i(a) = min_{g in a_i} <a, g>.  Each summand's normal fan is
+# refined by that of the sum, so every facet normal of P_lambda, with
+# some lambda_i = 0 too, is one of the unit-weight sum of all the
+# ideals, and any a >= 0 gives a valid inequality.  So x^v is in the
+# real-splitting RHS iff a strict linear system in lambda is feasible,
+# which Fourier-Motzkin elimination decides over Fractions (Schrijver,
+# Theory of Linear and Integer Programming, 12.2).  The oracle shares
+# only the theorem with production: no grid, no multiplier_ideal, and
+# the normals come from reference_hull.
+
+
+def fourier_motzkin(rows, k):
+    """Whether some x in R^k meets every row (coeffs, bound, strict),
+    read <coeffs, x> < bound if strict, else <= bound.
+
+    Each step drops the last variable: a row where its coefficient is
+    positive, scaled to 1, plus one where it is negative, scaled to -1,
+    gives a row without it, strict when either is; with the rows that
+    lack it, these cut out the projection exactly.  Rows are scaled so
+    that their largest coefficient is 1 in size, and of rows with the
+    same coefficients only the tightest is kept.
+    """
+    while True:
+        tightest = {}
+        for coeffs, bound, strict in rows:
+            top = max(map(abs, coeffs), default=0)
+            if not top:
+                if bound < 0 or (strict and bound == 0):
+                    return False
+                continue
+            coeffs, bound = tuple(x / top for x in coeffs), bound / top
+            old = tightest.get(coeffs)
+            if old is None or (bound, not strict) < (old[0], not old[1]):
+                tightest[coeffs] = (bound, strict)
+        if not k:
+            return True
+        k -= 1
+        rows = [(p[:k], bp, sp) for p, (bp, sp) in tightest.items() if not p[k]]
+        pos = [(p, bp, sp) for p, (bp, sp) in tightest.items() if p[k] > 0]
+        neg = [(q, bq, sq) for q, (bq, sq) in tightest.items() if q[k] < 0]
+        rows += [
+            (
+                tuple(x / p[k] - y / q[k] for x, y in zip(p[:k], q)),
+                bp / p[k] - bq / q[k],
+                sp or sq,
+            )
+            for p, bp, sp in pos
+            for q, bq, sq in neg
+        ]
+
+
+class RealSplittingRHS:
+    """The sum over all real splittings of c among the parts, by
+    membership: x^v in rhs iff the system in lambda_1..lambda_{l-1}
+    (lambda_l = c - the others) is feasible."""
+
+    def __init__(self, a0, c0, parts, c):
+        n = a0.arity
+        ideals = [a0, *parts]
+        points = [
+            tuple(map(sum, zip(*combo)))
+            for combo in product(*(a.generators for a in ideals))
+        ]
+        normals = {a for a, _ in reference_hull(points, n)}
+        normals |= {tuple(int(j == i) for j in range(n)) for i in range(n)}
+
+        def h(ideal, a):
+            return min(sum(x * y for x, y in zip(a, g)) for g in ideal.generators)
+
+        *rest, last = parts
+        # a, then c0 h_0(a) + c h_l(a) and h_i(a) - h_l(a) for i < l
+        self.facets = [
+            (a, F(c0) * h(a0, a) + F(c) * h(last, a),
+             tuple(F(h(p, a) - h(last, a)) for p in rest))
+            for a in sorted(normals)
+        ]
+        k = self.k = len(rest)
+        # lambda_i >= 0 for i < l, and lambda_l >= 0: their sum <= c
+        self.simplex = [
+            (tuple(F(-int(j == i)) for j in range(k)), F(0), False) for i in range(k)
+        ] + [((F(1),) * k, F(c), False)]
+
+    def __contains__(self, v):
+        rows = [
+            (diffs, sum(x * (y + 1) for x, y in zip(a, v)) - fixed, True)
+            for a, fixed, diffs in self.facets
+        ]
+        return fourier_motzkin(rows + self.simplex, self.k)
+
+
+SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
+
+
+def test_fourier_motzkin_tracks_strict_rows():
+    one, zero = F(1), F(0)
+    # x <= 1 and x >= 1 meet at x = 1; x < 1 and x >= 1 do not
+    assert fourier_motzkin([((one,), one, False), ((-one,), -one, False)], 1)
+    assert not fourier_motzkin([((one,), one, True), ((-one,), -one, False)], 1)
+    # x, y > 0 with x + y < 1 is open but not empty; x + y <= 0 empties it
+    rows = [((-one, zero), zero, True), ((zero, -one), zero, True)]
+    assert fourier_motzkin(rows + [((one, one), one, True)], 2)
+    assert not fourier_motzkin(rows + [((one, one), zero, False)], 2)
+
+
+def test_real_splitting_rhs_of_one_part_is_its_multiplier_ideal():
+    # one part takes all of c: the oracle is J(a0^c0 a1^c), point by point
+    rng = random.Random("one-part-oracle")
+    for i in range(40):
+        n = 1 + i % 3
+        (a0, c0), (a1, c) = random_product(rng, n)[0], random_product(rng, n)[0]
+        rhs = RealSplittingRHS(a0, c0, [a1], c)
+        ideal = multiplier_ideal([(a0, c0), (a1, c)])
+        for v in product(range(6), repeat=n):
+            assert (v in rhs) == contains(ideal, v), (a0, c0, a1, c, v)
+
+
+def seeded_summation_instances(rng, count):
+    """Arity 1-4 over 1-4 parts, sized so that reference_hull stays small:
+    at most 3 generators an ideal (2 in arity 4), exponents as in
+    random_product."""
+    out = []
+    for i in range(count):
+        n = 1 + i % 4
+        top, most = {1: 6, 2: 4, 3: 3, 4: 2}[n], 3 if n < 4 else 2
+
+        def ideal():
+            return MonomialIdeal(n, [
+                tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(1, most))
+            ])
+
+        a0 = ideal() if rng.random() < 0.5 else MonomialIdeal.unit(n)
+        parts = [ideal() for _ in range(rng.randint(1, 4))]
+        c0 = F(rng.randint(0, 2), rng.randint(1, 2))
+        out.append((a0, c0, parts, rng.choice([F(1, 2), F(1), F(3, 2), F(2)])))
+    return out
+
+
+def test_summation_answers_agree_with_the_real_splitting_rhs():
+    # the formula's RHS over all real splittings equals the LHS, so the
+    # grid RHS and each equal LHS lie in it, and a monomial one step
+    # below an LHS generator, outside the LHS, lies outside it
+    instances = verification._random_summation_instances(7, 40)
+    instances += seeded_summation_instances(random.Random("real-splittings"), 200)
+    expected = json.loads((SUMMATION_DATA / "expected.json").read_text())
+    for name in sorted(expected):
+        if expected[name]["json"]["exit"] == 0:
+            doc = json.loads((SUMMATION_DATA / name).read_text())
+            args = summation_from_json(doc)
+            instances.append((args["a0"], args["c0"], args["parts"], args["c"]))
+    answered = checks = 0
+    for a0, c0, parts, c in instances:
+        try:
+            result = summation_check(a0, c0, parts, c)
+        except (InconclusiveError, SizeError):
+            continue
+        answered += 1
+        assert result.equal, (a0, c0, parts, c)
+        rhs = RealSplittingRHS(a0, c0, parts, c)
+        for g in result.rhs.generators + result.lhs.generators:
+            checks += 1
+            assert g in rhs, (a0, c0, parts, c, g)
+        for g in result.lhs.generators:
+            for j in range(len(g)):
+                w = g[:j] + (g[j] - 1,) + g[j + 1:]
+                if g[j] and not contains(result.lhs, w):
+                    checks += 1
+                    assert w not in rhs, (a0, c0, parts, c, w)
+    assert answered > 230 and checks > 1500
 
 
 def test_summed_parts_are_capped_before_their_sum_is_built(monkeypatch):
@@ -668,6 +896,28 @@ def test_summed_parts_are_capped_before_their_sum_is_built(monkeypatch):
     monkeypatch.setattr(monomials, "MonomialIdeal", no_ideal)
     with pytest.raises(SizeError) as info:
         summation_check(unit, 0, parts, 1)
+    assert str(info.value) == "summed parts capped at 3 generators (got 4)"
+
+
+def test_summation_reader_caps_the_listed_parts_before_building_any(monkeypatch):
+    # the parts' listed generators are summed as an ideal document's
+    # are counted, repeats included, before a0 or any part is built
+    monkeypatch.setattr(monomials, "MAX_GENERATORS", 3)
+    doc = {
+        "a0": {"n": 2, "generators": [[0, 0]]},
+        "parts": [{"n": 2, "generators": [[1, 0], [0, 1]]},
+                  {"n": 2, "generators": [[1, 1]]}],
+        "c": 1,
+    }
+    assert summation_check(**summation_from_json(doc)).equal
+    doc["parts"][1]["generators"].append([1, 1])
+
+    def no_ideal(*args):
+        raise AssertionError("ideal built past the summed generator cap")
+
+    monkeypatch.setattr(monomials, "MonomialIdeal", no_ideal)
+    with pytest.raises(SizeError) as info:
+        summation_from_json(doc)
     assert str(info.value) == "summed parts capped at 3 generators (got 4)"
 
 
