@@ -1,11 +1,12 @@
 """Exact-rational stability toolkit for the projective line.
 
 Public surface: central hyperplane arrangement lct with
-certificates, the Gibbs-type gamma invariant of P^1 with its exact
-Veronese determinants (MultiPoly, det_symbolic), monomial multiplier
-ideals as a testing oracle, and Donaldson-Futaki invariants of
+certificates, the Gibbs-type gamma invariant of P^1, monomial
+multiplier ideals as a testing oracle, Donaldson-Futaki invariants of
 flag-ideal configurations, whose reports carry their weights as
-SampleGrid and UniPoly.
+SampleGrid and UniPoly, and the verification oracles: the exact
+Veronese determinants (MultiPoly, det_symbolic) and the multiplier
+laws.
 """
 
 from types import ModuleType as _ModuleType
@@ -40,17 +41,7 @@ from .flags import (
     validate_flag,
     weight,
 )
-from .gamma import (
-    GammaSample,
-    MultiPoly,
-    Verdict,
-    classify,
-    det_symbolic,
-    gamma_at_k,
-    gamma_report,
-    vandermonde_product,
-    veronese_determinant,
-)
+from .gamma import GammaSample, Verdict, classify, gamma_at_k, gamma_report
 from .monomials import (
     MonomialIdeal,
     NewtonPolyhedron,
@@ -62,7 +53,13 @@ from .monomials import (
     summation_check,
 )
 from .rationals import rat, rat_str
-from .verification import law_checks
+from .verification import (
+    MultiPoly,
+    det_symbolic,
+    law_checks,
+    vandermonde_product,
+    veronese_determinant,
+)
 
 __all__ = sorted(name for name, value in globals().items()
                  if not (name.startswith("_") or isinstance(value, _ModuleType)))

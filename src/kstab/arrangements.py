@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import InputError, SizeError
-from .rationals import fields, primitive, rat, rat_str
+from .rationals import fields, integer, primitive, rat, rat_str
 
 MAX_CANDIDATES = 2 ** 20
 MAX_BRAID_G = 1000
@@ -55,8 +55,7 @@ class CentralArrangement:
     forms: tuple
 
     def __init__(self, ambient_dim, forms):
-        if ambient_dim < 1:
-            raise InputError("ambient dimension must be >= 1")
+        integer("ambient dimension", ambient_dim)
         norm = tuple(
             f if isinstance(f, LinearForm) else LinearForm(f) for f in forms
         )
@@ -225,8 +224,7 @@ def braid_pairs(g):
 
 def braid_arrangement(g):
     """The arrangement of u_i - u_j = 0 over all pairs i < j."""
-    if g < 2:
-        raise InputError("braid arrangement needs g >= 2")
+    integer("g", g, least=2)
     forms = []
     for i, j in braid_pairs(g):
         coeffs = [Fraction(0)] * g
@@ -260,17 +258,14 @@ def lct_braid(g):
 
 def lct_braid_value(g):
     """lct_braid(g).value, with its checks on g, without the certificate."""
-    if g < 2:
-        raise InputError("lct_braid requires g >= 2")
-    if g > MAX_BRAID_G:
+    if integer("g", g, least=2) > MAX_BRAID_G:
         raise SizeError(f"lct_braid capped at g = {MAX_BRAID_G}")
     return Fraction(2, g)
 
 
 def diagonal_discrepancy(g, c):
     """Discrepancy of the small-diagonal blowup: g - 2 - c*g*(g-1)/2."""
-    if g < 2:
-        raise InputError("needs g >= 2")
+    integer("g", g, least=2)
     c = rat(c)
     if c < 0:
         raise InputError("coefficient must be >= 0")

@@ -28,7 +28,7 @@ from math import lcm
 from operator import add
 
 from .errors import GridTooShortError, InputError, SizeError
-from .rationals import fields, rat, rat_str
+from .rationals import fields, integer, rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
 # an accepted base must leave the same residual at these multiples of it
@@ -204,13 +204,6 @@ def _minplus_step(costs, rows):
     return stepped
 
 
-def _positive_int(name, value):
-    """value if it is an int >= 1; bools are rejected, as in PointDivisor."""
-    if type(value) is not int or value < 1:
-        raise InputError(f"{name} must be an integer >= 1")
-    return value
-
-
 def tilde_divisors(flag, ks):
     """Divisors of the power-ideal summands, via min-plus convolution.
 
@@ -222,7 +215,7 @@ def tilde_divisors(flag, ks):
     they certify their stretch, then stretched to ks parts.  ks above
     MAX_KS raises SizeError.
     """
-    if _positive_int("ks", ks) > MAX_KS:
+    if integer("ks", ks) > MAX_KS:
         raise SizeError(f"ks capped at {MAX_KS} (got {ks})")
     rows = _Sweep(flag, 1).rows(ks)
     labels = flag.points()
@@ -233,7 +226,7 @@ def tilde_divisors(flag, ks):
 def _parts(k, s):
     """The part count n = k*s behind w(k), checked against MAX_KS; s > 0
     is checked where the _Sweep is built."""
-    n, rest = divmod(_positive_int("k", k) * s.numerator, s.denominator)
+    n, rest = divmod(integer("k", k) * s.numerator, s.denominator)
     if rest:
         raise InputError(f"k*s must be a positive integer (got {rat_str(k * s)})")
     if n > MAX_KS:
@@ -271,6 +264,7 @@ class _Sweep:
         for part in ("denominator", "numerator"):
             if getattr(self.s, part) >= 10**MAX_S_DIGITS:
                 raise SizeError(f"{part} of s capped at {MAX_S_DIGITS} digits")
+        self._envelopes = [_envelope(cost) for cost in self._costs]
         self._rows = [[0] for _ in self._costs]
         self._n = 0
         self._w = {}
@@ -300,7 +294,7 @@ class _Sweep:
         num, den = self.s.numerator, self.s.denominator
         while self._n < n and self._certified is None:
             stepped = _minplus_step(self._costs, self._rows)
-            cuts = _certify(self._costs, self._rows, stepped)
+            cuts = _certify(self._envelopes, self._rows, stepped)
             if cuts is not None:
                 self._certified = (self._n, self._rows, cuts)
             self._rows, self._n = stepped, self._n + 1
@@ -309,12 +303,13 @@ class _Sweep:
                 self._w[k] = _total_weight(stepped, 2 * k + 1)
 
 
-def _certify(costs, rows, stepped):
+def _certify(envelopes, rows, stepped):
     """Each point's cuts (q, L, rise) if the rows certify their stretch.
 
-    rows are the min-plus rows R at n parts, stepped those at n + 1.
-    Each envelope segment [a, b] of a point's costs c (L = b - a, rise
-    = c(b) - c(a)) gets the cut q = n a + floor(n L / 2), and I_d(R)
+    rows are the min-plus rows R at n parts, stepped those at n + 1,
+    and envelopes each point's segments (_envelope).  Each envelope
+    segment [a, b] of a point's costs c (L = b - a, rise = c(b) - c(a))
+    gets the cut q = n a + floor(n L / 2), and I_d(R)
     (_stretch) copies R[q - L:q] d times before R[q:] at every cut,
     each copy and all after it lifted by rise more.  The rows pass if
     at every cut (S) q - M - L >= q', the point's previous cut or 0,
@@ -341,13 +336,12 @@ def _certify(costs, rows, stepped):
     those at n + d + 1 are step(I_d(R)) = I_d(step(R)) = I_d(I_1(R)) =
     I_{d+1}(R).  No onset needs proving: the rows check themselves.
     """
-    M = len(costs[0]) - 1
+    M = envelopes[0][-1][1]  # every envelope ends at t = M
     n = (len(rows[0]) - 1) // M
     found = []
-    for cost, row, nxt in zip(costs, rows, stepped):
+    for segments, row, nxt in zip(envelopes, rows, stepped):
         cuts, last = [], 0
-        for a, b in pairwise(_lower_hull(cost)):
-            L, rise = b - a, cost[b] - cost[a]
+        for a, _, L, rise in segments:
             q = n * a + n * L // 2
             if q - M - L < last or any(row[y] != row[y - L] + rise
                                        for y in range(q - M, q)):
@@ -489,7 +483,7 @@ def donaldson_futaki(flag, s):
     checked; the report says so.
     """
     sweep = _Sweep(flag, s)
-    w2, w1 = _closed_form(sweep._costs, sweep.s)
+    w2, w1 = _closed_form(sweep._costs, sweep._envelopes, sweep.s)
     last = None
     for base in ESCALATION_BASES:
         try:
@@ -551,19 +545,20 @@ def _fit(sweep, base, w2, w1):
     )
 
 
-def _closed_form(costs, s):
+def _closed_form(costs, envelopes, s):
     """(w2, w1): the k^2 and k coefficients of w(k), from the envelopes.
 
     At a point, c(t) = costs[p][t] for parts t = 0..M, and c^ is the
     lower convex envelope of the points (t, c(t)), with integer
-    vertices, 0 among them.  D^ = sum_p c^ is convex, nondecreasing and
-    linear between integers; u* is the least u in [0, M] with
-    s D^(u) >= 2, or M.  On a segment [a, b] of c^, L = b - a, with
-    line l, the excess x(t) = c(t) - l(t) is >= 0 (c >= c^ >= l) and
-    0 at a and b.  e(rho), rho in Z/L, is the least total excess of
-    parts whose offsets t - a sum to rho mod L: a shortest path on L
-    nodes, of at most L - 1 parts (_mean_excess).  E(u) sums over the
-    points the mean of e on the segment holding u.  Then
+    vertices, 0 among them, and segments envelopes[p] (_envelope).
+    D^ = sum_p c^ is convex, nondecreasing and linear between
+    integers; u* is the least u in [0, M] with s D^(u) >= 2, or M.
+    On a segment [a, b] of c^, L = b - a, with line l, the excess
+    x(t) = c(t) - l(t) is >= 0 (c >= c^ >= l) and 0 at a and b.
+    e(rho), rho in Z/L, is the least total excess of parts whose
+    offsets t - a sum to rho mod L: a shortest path on L nodes, of at
+    most L - 1 parts (_mean_excess).  E(u) sums over the points the
+    mean of e on the segment holding u.  Then
 
         w2 = -s int_0^M min(2, s D^(u)) du,
         w1 = -s (int_0^u* E(u) du + D^(u*)/2 + M - u*).
@@ -603,17 +598,15 @@ def _closed_form(costs, s):
     u* = 2/m, so w2 = w1 = 2/m - 2 and DF0 = 4 (w2 - 2 w1) = 8 - 8/m.
     """
     M = len(costs[0]) - 1
-    segments = [list(pairwise(_lower_hull(cost))) for cost in costs]
-    Q = lcm(*(b - a for point in segments for a, b in point))
+    Q = lcm(*(L for segments in envelopes for _, _, L, _ in segments))
     dhat = [0] * (M + 1)  # Q D^ at the integers
     ebar = [0] * M  # Q^2 E on each unit interval
-    for cost, point in zip(costs, segments):
-        for a, b in point:
-            unit = Q // (b - a)
-            rise = (cost[b] - cost[a]) * unit
+    for cost, segments in zip(costs, envelopes):
+        for a, b, L, rise in segments:
+            unit = Q // L
             excess = _mean_excess(cost, a, b) * unit * unit
             for t in range(a + 1, b + 1):
-                dhat[t] += Q * cost[a] + rise * (t - a)
+                dhat[t] += Q * cost[a] + rise * unit * (t - a)
                 ebar[t - 1] += excess
     # s D^ = num (Q D^) / R, so s D^ <= 2 iff num (Q D^) <= 2 R; the unit
     # intervals where it holds throughout are a prefix, as D^ rises
@@ -637,6 +630,12 @@ def _closed_form(costs, s):
     # min(D^(M), 2/s) / 2: D^(M) where s D^ <= 2 on all of [0, M]
     half = Fraction(dhat[M], 2 * Q) if full == M else Fraction(den, num)
     return -s * area, -s * (excess + half + M - ustar)
+
+
+def _envelope(cost):
+    """The segments (a, b, L, rise) of the lower convex envelope of
+    (t, cost[t]): L = b - a and rise = cost[b] - cost[a]."""
+    return [(a, b, b - a, cost[b] - cost[a]) for a, b in pairwise(_lower_hull(cost))]
 
 
 def _lower_hull(cost):

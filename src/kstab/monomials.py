@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InconclusiveError, InputError, SizeError
-from .rationals import fields, primitive, rat
+from .rationals import fields, integer, primitive, rat
 
 MAX_ARITY = 4
 MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
@@ -75,8 +75,7 @@ class MonomialIdeal:
     generators: tuple
 
     def __init__(self, arity, generators):
-        if type(arity) is not int or arity < 1:
-            raise InputError("arity must be an integer >= 1")
+        integer("arity", arity)
         gens = set()
         for g in generators:
             g = tuple(g)
@@ -581,8 +580,7 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     generators, checked before their sum is built.
     """
     c0, c = rat(c0), rat(c)
-    if type(denom_bound) is not int or denom_bound < 1:
-        raise InputError("denom_bound must be an integer >= 1")
+    integer("denom_bound", denom_bound)
     if not parts:
         raise InputError("need at least one summand ideal")
     arity = parts[0].arity

@@ -5,8 +5,9 @@ q = 1), with the sign on the numerator.  fractions.Fraction already
 keeps gcd(|p|, q) = 1 and q > 0, which is exactly the invariant we
 need, so we use it directly instead of a bespoke class.  A rational
 direction (a hyperplane, a facet normal) is kept as primitive(row).
-rat caps a string's decimal exponent at MAX_EXPONENT, and fields is
-the one shape check of every JSON input document.
+rat caps a string's decimal exponent at MAX_EXPONENT, fields is the
+one shape check of every JSON input document, and integer the one
+check of a count or size argument.
 """
 
 from fractions import Fraction
@@ -59,6 +60,13 @@ def primitive(row):
     if next(x for x in row if x) < 0:
         divisor = -divisor
     return tuple(x // divisor for x in row)
+
+
+def integer(name, value, least=1):
+    """value if it is an int >= least; bools, floats and strings are not."""
+    if type(value) is not int or value < least:
+        raise InputError(f"{name} must be an integer >= {least}")
+    return value
 
 
 def fields(data, what, *names):

@@ -490,6 +490,25 @@ def test_verify_failing_criterion_exits_1(monkeypatch, capsys):
     assert "C01-braid-lct: FAIL (" in out.err
 
 
+def test_verify_reports_a_wrong_determinant_as_c04_fail(monkeypatch, capsys):
+    # veronese_determinant returns the expansion unchecked; C04 alone
+    # compares it with the Vandermonde product, so a wrong one is a
+    # failing criterion, not a traceback
+    def wrong(matrix):
+        return verification.MultiPoly.constant(1, matrix[0][0].arity)
+
+    monkeypatch.setattr(verification, "det_symbolic", wrong)
+    assert verification.check_vandermonde(quick=True) == (
+        False, "determinant mismatch at k = 1"
+    )
+    code = main(["verify", "--quick"])
+    out = capsys.readouterr()
+    card = json.loads(out.out)
+    assert code == 1 and card["all_pass"] is False
+    assert [c["id"] for c in card["criteria"] if not c["pass"]] == ["C04-vandermonde"]
+    assert "C04-vandermonde: FAIL (" in out.err
+
+
 # lct-braid and gamma-p1 at fixed arguments, and the stdout, stderr and
 # exit code `kstab COMMAND --format FMT` gave for them before every
 # subcommand returned its payload to main; any change must reproduce

@@ -321,10 +321,15 @@ def test_df_seshadri_boundary():
     assert report.DF0 == 0
 
 
+def closed_form(costs, s):
+    """_closed_form on each point's envelope, as a _Sweep derives them."""
+    return _closed_form(costs, [flags._envelope(cost) for cost in costs], s)
+
+
 def pinned(flag, s, base):
     """The report at one grid base, against the closed form's w2 and w1."""
     s = F(s)
-    return _fit(_Sweep(flag, s), base, *_closed_form(_point_costs(flag), s))
+    return _fit(_Sweep(flag, s), base, *closed_form(_point_costs(flag), s))
 
 
 @pytest.mark.parametrize("a,df0", [(2, F(4)), (3, F(16, 3)), (4, F(6)), (5, F(32, 5))])
@@ -426,7 +431,7 @@ def test_closed_form_fat_points():
     # D^(u) = m u, E = 0 and u* = 2/m: w2 = w1 = 2/m - 2
     for m in range(2, 61):
         costs = _point_costs(FlagIdealP1([{"p": m}]))
-        assert _closed_form(costs, F(1)) == (F(2, m) - 2, F(2, m) - 2), m
+        assert closed_form(costs, F(1)) == (F(2, m) - 2, F(2, m) - 2), m
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +490,7 @@ def test_closed_form_matches_the_fraction_reference(name, count):
     cases = list(closed_form_cases(name))
     assert len(cases) == count
     for costs, s in cases:
-        assert _closed_form(costs, s) == reference_closed_form(costs, s), (costs, s)
+        assert closed_form(costs, s) == reference_closed_form(costs, s), (costs, s)
 
 
 # With a point of multiplicity >= 25 in D_1, every count min(2k+1, deg_j)
@@ -648,20 +653,20 @@ def test_certificate_checks_each_condition():
     sweep = _Sweep(flag, 1)
     sweep.weight(MAX_KS)
     n0, rows, cuts = sweep._certified
-    costs = sweep._costs
+    costs, envelopes = sweep._costs, sweep._envelopes
 
     def insert_one(rows):
         return [flags._stretch(row, c, 1, _INF) for row, c in zip(rows, cuts)]
 
-    assert flags._certify(costs, rows, insert_one(rows)) == cuts
+    assert flags._certify(envelopes, rows, insert_one(rows)) == cuts
     stepped = insert_one(rows)
     stepped[0][-1] += 1
-    assert flags._certify(costs, rows, stepped) is None
+    assert flags._certify(envelopes, rows, stepped) is None
     moved = [list(row) for row in rows]
     moved[0][cuts[0][0][0] - 1] += 1  # inside the first window of (P)
-    assert flags._certify(costs, moved, insert_one(moved)) is None
+    assert flags._certify(envelopes, moved, insert_one(moved)) is None
     short = [list(cost) for cost in costs]  # the rows at one part
-    assert flags._certify(costs, short, flags._minplus_step(costs, short)) is None
+    assert flags._certify(envelopes, short, flags._minplus_step(costs, short)) is None
 
 
 def outside_run(row, cut):
@@ -685,8 +690,8 @@ def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, muta
     certify = flags._certify
     caught = []
 
-    def mutated(costs, rows, stepped):
-        found = certify(costs, rows, stepped)
+    def mutated(envelopes, rows, stepped):
+        found = certify(envelopes, rows, stepped)
         for row, nxt, cuts in zip(rows, stepped, found or ()):
             for i, cut in enumerate(cuts):
                 bad = mutate(row, cut)
@@ -709,7 +714,7 @@ def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, muta
 
 def test_df_outputs_without_the_certificate(monkeypatch, capsys):
     # rows that never certify are stepped as the band sweep always was
-    monkeypatch.setattr(flags, "_certify", lambda costs, rows, stepped: None)
+    monkeypatch.setattr(flags, "_certify", lambda envelopes, rows, stepped: None)
     data = Path(__file__).parent / "data" / "df"
     for name, by_s in [
         item for table in ("expected.json", "expected_walk.json")
@@ -932,7 +937,7 @@ def assert_matches_reference(flag, s, weigh=None):
     has the closed form's w2 and w1, errors included.  Elsewhere the
     reference took a coincidental fit, and the escalation must report
     the closed form's coefficients or raise.  True iff they are equal."""
-    w2, w1 = _closed_form(_point_costs(flag), s)
+    w2, w1 = closed_form(_point_costs(flag), s)
     closed = [rat_str(w1), rat_str(w2)]
     expected = outcome(oracle_escalation, flag, s, weigh)
     got = outcome(donaldson_futaki, flag, s)
@@ -1004,7 +1009,7 @@ def test_df0_is_nonnegative_on_every_small_flag():
     for i, flag in enumerate(family):
         costs = _point_costs(flag)
         for s, (least, zeros) in found.items():
-            w2, w1 = _closed_form(costs, F(s))
+            w2, w1 = closed_form(costs, F(s))
             df0 = 4 * (w2 - 2 * w1)
             assert df0 >= 0, (
                 f"counterexample: DF0 = {rat_str(df0)} at s = {s} "
@@ -1041,8 +1046,8 @@ def spy_certify(monkeypatch):
     passed = []
     certify = flags._certify
 
-    def spied(costs, rows, stepped):
-        cuts = certify(costs, rows, stepped)
+    def spied(envelopes, rows, stepped):
+        cuts = certify(envelopes, rows, stepped)
         passed.append(cuts is not None)
         return cuts
 
@@ -1097,7 +1102,7 @@ def test_refinement_miss_message():
     weigh = sweep.weight
     sweep.weight = lambda k: weigh(k) + (k == 10)
     with pytest.raises(GridTooShortError) as info:
-        _fit(sweep, 1, *_closed_form(sweep._costs, sweep.s))
+        _fit(sweep, 1, *_closed_form(sweep._costs, sweep._envelopes, sweep.s))
     assert str(info.value) == "refinement misses w(10)"
 
 

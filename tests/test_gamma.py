@@ -40,6 +40,9 @@ def test_determinant_size_cap():
         veronese_determinant(4)
     with pytest.raises(InputError):
         veronese_determinant(-1)
+    # the product is capped at the determinant's size, before expanding
+    with pytest.raises(SizeError, match=r"^Vandermonde product capped at 7 variables$"):
+        vandermonde_product(8)
 
 
 @pytest.mark.parametrize(

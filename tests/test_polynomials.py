@@ -19,7 +19,19 @@ from kstab import (
     rat,
     rat_str,
 )
-from kstab.rationals import MAX_EXPONENT
+from kstab import (
+    CentralArrangement,
+    MonomialIdeal,
+    braid_arrangement,
+    diagonal_discrepancy,
+    gamma_at_k,
+    gamma_report,
+    lct_braid,
+    summation_check,
+    vandermonde_product,
+    veronese_determinant,
+)
+from kstab.rationals import MAX_EXPONENT, integer
 from test_flags import df_coefficient, interpolate, stabilized_fit
 
 F = Fraction
@@ -68,6 +80,41 @@ def test_rat_str_round_trip():
     assert rat_str(F(-3, 4)) == "-3/4"
     assert rat_str(F(8, 2)) == "4"
     assert rat(rat_str(F(22, 7))) == F(22, 7)
+
+
+def test_integer_accepts_ints_only():
+    assert integer("n", 3) == 3
+    assert integer("n", 0, least=0) == 0
+    for value in (True, 3.0, "3", F(3), 0):
+        with pytest.raises(InputError, match=r"^n must be an integer >= 1$"):
+            integer("n", value)
+
+
+X = MonomialIdeal(1, [(1,)])
+
+
+@pytest.mark.parametrize("call,args,message", [
+    (gamma_at_k, (1.5,), "k must be an integer >= 1"),
+    (gamma_at_k, (True,), "k must be an integer >= 1"),
+    (gamma_report, (2.5,), "k_max must be an integer >= 1"),
+    (lct_braid, (2.5,), "g must be an integer >= 2"),
+    (braid_arrangement, (2.5,), "g must be an integer >= 2"),
+    (veronese_determinant, (1.5,), "k must be an integer >= 0"),
+    (diagonal_discrepancy, (2.5, 1), "g must be an integer >= 2"),
+    (vandermonde_product, (2.5,), "nvars must be an integer >= 1"),
+    (CentralArrangement, (2.0, [[1, 0]]), "ambient dimension must be an integer >= 1"),
+    (MonomialIdeal, (1.0, [(1,)]), "arity must be an integer >= 1"),
+    (summation_check, (X, 0, [X], 1, 24.0), "denom_bound must be an integer >= 1"),
+], ids=[
+    "gamma_at_k-float", "gamma_at_k-bool", "gamma_report", "lct_braid",
+    "braid_arrangement", "veronese_determinant", "diagonal_discrepancy",
+    "vandermonde_product", "CentralArrangement", "MonomialIdeal", "summation_check",
+])
+def test_count_arguments_must_be_integers(call, args, message):
+    # each of these once raised a bare TypeError or accepted the value
+    with pytest.raises(InputError) as info:
+        call(*args)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

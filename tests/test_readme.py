@@ -59,3 +59,13 @@ def test_star_import_binds_no_module():
     modules = [name for name, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert modules == []
     assert set(namespace) >= PUBLIC
+
+
+def test_veronese_oracle_lives_in_verification():
+    import kstab
+    from kstab import gamma
+
+    assert kstab.MultiPoly.__module__ == "kstab.verification"
+    for name in ("MultiPoly", "det_symbolic", "vandermonde_product",
+                 "veronese_determinant", "MAX_K_SYMBOLIC", "MAX_DET_SIZE"):
+        assert not hasattr(gamma, name), name
