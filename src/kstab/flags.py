@@ -8,11 +8,12 @@ the k^2 and k coefficients of w, which come in closed form from the
 lower convex envelopes of the flag's multiplicities, and DF = w2 - 2 w1
 is read straight off them.  The counted weights confirm them and fill
 the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
-w_poly with its constant term.  One short min-plus sweep per (flag, s)
-serves every k a call samples, and the power-ideal divisors too: a part
-step convolves only the band of a row that a new part can change, and
-the sweep stops once its rows certify their own stretch.  Everything
-here is exact, and the escalation runs on integers over an exact common
+w_poly with its constant term.  One short min-plus sweep per point cost,
+kept in a bounded process-wide cache (_Point), serves every flag, s and
+k that reads the point, and the power-ideal divisors too: a part step
+convolves only the band of a row that a new part can change, and a
+point stops once its row certifies its own stretch.  Everything here is
+exact, and the escalation runs on integers over an exact common
 denominator: the closed form sums the envelopes scaled by the lcm of
 their segment lengths, and a grid base compares integer residuals over
 the denominator of (w2, w1), stopping at its first miss.  Fractions are
@@ -23,6 +24,7 @@ for the report of the accepted base.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import pairwise
 from math import lcm
 from operator import add
@@ -52,6 +54,7 @@ ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
 # and each must convert to a string, which Python limits to 4300 digits
 # by default (640 at the least)
 MAX_S_DIGITS = 100
+POINT_CACHE = 256  # cap on the points kept stepped (_Point)
 
 _INF = 1 << 62  # sentinel for unreachable min-plus states; exact arithmetic only
 
@@ -169,39 +172,70 @@ def _point_costs(flag):
     return costs
 
 
-def _minplus_step(costs, rows):
-    """One more part at every point, by (min,+) convolution with its costs.
+def _minplus_step(cost, row):
+    """One more part at one point, by (min,+) convolution with its costs.
 
-    If entry j of rows[p] is the cheapest way to write j as n parts in
-    0..M priced by costs[p] (costs[p][0] = 0), the returned rows hold
-    the same for n + 1; n is read off the row length M*n + 1.  Two
-    pigeonhole arguments settle all but a band of the new row:
+    If entry j of row is the cheapest way to write j as n parts in 0..M
+    priced by cost (cost[0] = 0), the returned row holds the same for
+    n + 1; n is read off the row length M*n + 1.  Two pigeonhole
+    arguments settle all but a band of the new row:
 
     - j <= n: n + 1 parts summing to j include a zero part, which
       costs nothing, so the entry is row[j] unchanged.
     - j >= (M - 1)*n + M: the deficits M - t of the n + 1 parts sum to
       M*(n + 1) - j <= n, so some part is M and the entry is
-      row[j - M] + costs[M].
+      row[j - M] + cost[M].
 
     Only j in [n + 1, (M - 1)*n + M) takes the minimum over every part
     size, reading row[n + 1 - M : (M - 1)*n + M]; the band is
     (M - 2)*n + O(M) wide, empty or one entry for M <= 2.
     """
-    stepped = []
-    for row, cost in zip(rows, costs):
-        m = len(cost) - 1
-        n = (len(row) - 1) // m
-        lo, hi = n + 1, max(n + 1, (m - 1) * n + m)
-        # while n < m - 1 the band reads past both ends of the row
-        pad = max(0, m - 1 - n)
-        wide = [_INF] * pad + row + [_INF] * pad if pad else row
-        # costs[0] = 0: the zero part's term is the slice itself
-        band = map(min, wide[pad + lo:pad + hi], *(
-            [x + ct for x in wide[pad + lo - t:pad + hi - t]]
-            for t, ct in enumerate(cost[1:], 1)
-        ))
-        stepped.append(row[:lo] + list(band) + [x + cost[m] for x in row[hi - m:]])
-    return stepped
+    m = len(cost) - 1
+    n = (len(row) - 1) // m
+    lo, hi = n + 1, max(n + 1, (m - 1) * n + m)
+    # while n < m - 1 the band reads past both ends of the row
+    pad = max(0, m - 1 - n)
+    wide = [_INF] * pad + row + [_INF] * pad if pad else row
+    # cost[0] = 0: the zero part's term is the slice itself
+    band = map(min, wide[pad + lo:pad + hi], *(
+        [x + ct for x in wide[pad + lo - t:pad + hi - t]]
+        for t, ct in enumerate(cost[1:], 1)
+    ))
+    return row[:lo] + list(band) + [x + cost[m] for x in row[hi - m:]]
+
+
+class _Point:
+    """One point's min-plus rows, shared by every flag, s and call.
+
+    The row at n parts depends on the costs (0, D_1(p), ..., D_M(p)) alone,
+    not on the label, the other points or s.  Rows are stepped in place,
+    each part once and by one thread at a time, until _certify passes the
+    row R at n0 parts; a row at n > n0 parts is R stretched by n - n0
+    periods, built up to its first entry >= cap.  Rows handed out are shared
+    and never mutated.  _point keeps the POINT_CACHE points read last, keyed
+    on the cost tuple, each with its rows up to n0, M n + 1 entries at n
+    parts: 9,555 at the most measured (M = 16, every envelope segment of
+    length 1, n0 = 34), and MAX_KS + 1 rows if it never certified.
+    """
+
+    def __init__(self, cost):
+        self.cost = cost
+        self.segments = _envelope(cost)
+        self.rows = [[0]]  # up to the certified R, the last once cuts is set
+        self.cuts = None
+
+    def row(self, n, cap=_INF):
+        while self.cuts is None and len(self.rows) <= n:
+            stepped = _minplus_step(self.cost, self.rows[-1])
+            self.cuts = _certify(self.segments, self.rows[-1], stepped)
+            if self.cuts is None:
+                self.rows.append(stepped)
+        if n < len(self.rows):
+            return self.rows[n]
+        return _stretch(self.rows[-1], self.cuts, n - len(self.rows) + 1, cap)
+
+
+_point = lru_cache(maxsize=POINT_CACHE)(_Point)
 
 
 def tilde_divisors(flag, ks):
@@ -211,14 +245,12 @@ def tilde_divisors(flag, ks):
     pointwise minimum and a product adds divisors, so each point can
     be treated independently: the j-th divisor takes, at p, the
     cheapest split of j into at most ks parts weighted by the flag
-    multiplicities at p.  The rows are those of a _Sweep: stepped until
-    they certify their stretch, then stretched to ks parts.  ks above
+    multiplicities at p, each point's row its _Point's.  ks above
     MAX_KS raises SizeError.
     """
     if integer("ks", ks) > MAX_KS:
         raise SizeError(f"ks capped at {MAX_KS} (got {ks})")
-    rows = _Sweep(flag, 1).rows(ks)
-    labels = flag.points()
+    labels, rows = flag.points(), [p.row(ks) for p in _Sweep(flag, 1).points]
     divisors = tuple(PointDivisor(dict(zip(labels, col))) for col in zip(*rows))
     return TildeFamily(ks=ks, divisors=divisors)
 
@@ -229,22 +261,23 @@ def _parts(k, s):
     n, rest = divmod(integer("k", k) * s.numerator, s.denominator)
     if rest:
         raise InputError(f"k*s must be a positive integer (got {rat_str(k * s)})")
+    return _capped(n)
+
+
+def _capped(n):
     if n > MAX_KS:
         raise SizeError(f"k*s capped at {MAX_KS} (got {n})")
     return n
 
 
 class _Sweep:
-    """Total weights w(k) of one flag at one s: a short sweep, then stretches.
+    """Total weights w(k) of one flag at one s, read off its points' rows.
 
     dim F_j = h^0(P^1, O(2k)(-tilde_D_j)) = max(0, N - deg_j) with
     N = 2k + 1, and w = sum_{j=1..M*ks} dim F_j - N*M*ks, so
     w(k) = -sum_{j=1..M*ks} min(N, deg_j) with deg_j the sum of the
     per-point min-plus rows at j after ks parts (row[0] = 0 adds
-    nothing).  Each part is stepped once, recording w(k) at each
-    integral k on the way, until _certify passes the rows at n0 parts;
-    then an asked k is read off them stretched by n - n0 periods, and
-    kept.  Rows that never certify are stepped on.
+    nothing), each row its _Point's; each w(k) is kept.
 
     Each row is nondecreasing in j: the costs of a valid flag are, so
     lowering one nonzero part of an optimum for j + 1 gives n parts
@@ -258,64 +291,35 @@ class _Sweep:
 
     def __init__(self, flag, s):
         self.s = rat(s)
-        self._costs = _point_costs(flag)
+        costs = _point_costs(flag)
         if self.s <= 0:
             raise InputError("s must be a positive rational")
         for part in ("denominator", "numerator"):
             if getattr(self.s, part) >= 10**MAX_S_DIGITS:
                 raise SizeError(f"{part} of s capped at {MAX_S_DIGITS} digits")
-        self._envelopes = [_envelope(cost) for cost in self._costs]
-        self._rows = [[0] for _ in self._costs]
-        self._n = 0
-        self._w = {}
-        self._certified = None  # (n0, the rows at n0, each point's cuts)
+        self.points = [_point(tuple(cost)) for cost in costs]
+        self._M, self._w = flag.M, {}
 
     def weight(self, k):
         if k not in self._w:
-            n = _parts(k, self.s)
-            self._advance(n)
-            if k not in self._w:
-                N = 2 * k + 1
-                self._w[k] = _total_weight(
-                    self._stretched(n, N), N, (len(self._costs[0]) - 1) * n + 1
-                )
+            n, N = _parts(k, self.s), 2 * k + 1
+            rows = [point.row(n, N) for point in self.points]
+            self._w[k] = _total_weight(rows, N, self._M * n + 1)
         return self._w[k]
 
-    def rows(self, n):
-        """Each point's whole row at n parts, n >= the parts stepped so far."""
-        self._advance(n)
-        return self._rows if self._certified is None else self._stretched(n, _INF)
 
-    def _stretched(self, n, cap):
-        n0, rows, cuts = self._certified
-        return [_stretch(*point, n - n0, cap) for point in zip(rows, cuts)]
+def _certify(segments, row, stepped):
+    """A point's cuts (q, L, rise) if its row certifies its stretch.
 
-    def _advance(self, n):
-        num, den = self.s.numerator, self.s.denominator
-        while self._n < n and self._certified is None:
-            stepped = _minplus_step(self._costs, self._rows)
-            cuts = _certify(self._envelopes, self._rows, stepped)
-            if cuts is not None:
-                self._certified = (self._n, self._rows, cuts)
-            self._rows, self._n = stepped, self._n + 1
-            if self._n % num == 0:
-                k = self._n // num * den
-                self._w[k] = _total_weight(stepped, 2 * k + 1)
-
-
-def _certify(envelopes, rows, stepped):
-    """Each point's cuts (q, L, rise) if the rows certify their stretch.
-
-    rows are the min-plus rows R at n parts, stepped those at n + 1,
-    and envelopes each point's segments (_envelope).  Each envelope
-    segment [a, b] of a point's costs c (L = b - a, rise = c(b) - c(a))
+    row is the point's min-plus row R at n parts, stepped the one at
+    n + 1, and segments the point's envelope (_envelope).  Each envelope
+    segment [a, b] of the point's costs c (L = b - a, rise = c(b) - c(a))
     gets the cut q = n a + floor(n L / 2), and I_d(R)
     (_stretch) copies R[q - L:q] d times before R[q:] at every cut,
-    each copy and all after it lifted by rise more.  The rows pass if
-    at every cut (S) q - M - L >= q', the point's previous cut or 0,
-    and (P) R[y] = R[y - L] + rise for y in [q - M, q), and at every
-    point (C) stepped = I_1(R).  Then the rows at n + d parts are
-    I_d(R) for every d >= 0.
+    each copy and all after it lifted by rise more.  The row passes if
+    at every cut (S) q - M - L >= q', the previous cut or 0, and
+    (P) R[y] = R[y - L] + rise for y in [q - M, q), and (C) stepped =
+    I_1(R).  Then the row at n + d parts is I_d(R) for every d >= 0.
 
     Proof.  step(X)[j] = min_t X[j - t] + c(t), t = 0..M, with entries
     outside a row infinite.
@@ -332,26 +336,21 @@ def _certify(envelopes, rows, stepped):
        by (P) it is periodic on [q, q + a).  A period inserted anywhere
        in a periodic run gives the same row: cutting at q is cutting at
        q + a, next to the period I_1 inserted.
-    By (C) the rows at n + 1 are I_1(R); if those at n + d are I_d(R),
-    those at n + d + 1 are step(I_d(R)) = I_d(step(R)) = I_d(I_1(R)) =
-    I_{d+1}(R).  No onset needs proving: the rows check themselves.
+    By (C) the row at n + 1 is I_1(R); if the one at n + d is I_d(R),
+    the one at n + d + 1 is step(I_d(R)) = I_d(step(R)) = I_d(I_1(R)) =
+    I_{d+1}(R).  No onset needs proving: the row checks itself.
     """
-    M = envelopes[0][-1][1]  # every envelope ends at t = M
-    n = (len(rows[0]) - 1) // M
-    found = []
-    for segments, row, nxt in zip(envelopes, rows, stepped):
-        cuts, last = [], 0
-        for a, _, L, rise in segments:
-            q = n * a + n * L // 2
-            if q - M - L < last or any(row[y] != row[y - L] + rise
-                                       for y in range(q - M, q)):
-                return None
-            cuts.append((q, L, rise))
-            last = q
-        if _stretch(row, cuts, 1, _INF) != nxt:
+    M = segments[-1][1]  # every envelope ends at t = M
+    n = (len(row) - 1) // M
+    cuts, last = [], 0
+    for a, _, L, rise in segments:
+        q = n * a + n * L // 2
+        if q - M - L < last or any(row[y] != row[y - L] + rise
+                                   for y in range(q - M, q)):
             return None
-        found.append(cuts)
-    return found
+        cuts.append((q, L, rise))
+        last = q
+    return cuts if _stretch(row, cuts, 1, _INF) == stepped else None
 
 
 def _stretch(row, cuts, d, cap):
@@ -371,19 +370,19 @@ def _stretch(row, cuts, d, cap):
     return out + [x + lift for x in row[start:]]
 
 
-def _total_weight(rows, N, size=None):
-    """-sum_j min(N, deg_j), deg the column sum of nondecreasing rows.
+def _total_weight(rows, N, size):
+    """-sum_j min(N, deg_j), j < size, deg the column sum of nondecreasing rows.
 
     Costs are nonnegative, so deg_j >= rows[p][j] for every point and
     deg reaches N no later than the first row to reach it: the rows
-    are added only up to there, and may stop there if size is given.
+    are added only up to there, and may stop there.
     """
     cut = min(bisect_left(row, N) for row in rows)
     deg = rows[0][:cut]
     for row in rows[1:]:
         deg = list(map(add, deg, row))
     cross = bisect_left(deg, N)
-    return -(sum(deg[:cross]) + N * ((size or len(rows[0])) - cross))
+    return -(sum(deg[:cross]) + N * (size - cross))
 
 
 def weight(flag, k, s):
@@ -476,14 +475,14 @@ def donaldson_futaki(flag, s):
     carries the curve normalization 2*(2!)^2 / deg(-K) = 4, and the
     inferred (Lbar^2) is 2 w2.  The report's grid and constant term
     come from the first base in ESCALATION_BASES whose counted weights
-    confirm w2 and w1 (see _fit), every base reading one min-plus
-    sweep.  A base that needs k*s > MAX_KS ends the walk with
-    SizeError, and a walk that runs out of bases re-raises the last
-    GridTooShortError.  Semiampleness of the polarization is not
-    checked; the report says so.
+    confirm w2 and w1 (see _fit), every base reading one _Sweep.  A
+    base that needs k*s > MAX_KS ends the walk with SizeError, and a
+    walk that runs out of bases re-raises the last GridTooShortError.
+    Semiampleness of the polarization is not checked; the report says
+    so.
     """
     sweep = _Sweep(flag, s)
-    w2, w1 = _closed_form(sweep._costs, sweep._envelopes, sweep.s)
+    w2, w1 = _closed_form(sweep.points, sweep.s)
     last = None
     for base in ESCALATION_BASES:
         try:
@@ -511,7 +510,7 @@ def _fit(sweep, base, w2, w1):
     s = sweep.s
     k0 = base * s.denominator
     for m in DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS:
-        _parts(k0 * m, s)
+        _capped(base * m * s.numerator)  # k0 m s, the sample's part count
     q = lcm(w2.denominator, w1.denominator)
     p2, p1 = w2.numerator * (q // w2.denominator), w1.numerator * (q // w1.denominator)
 
@@ -545,12 +544,12 @@ def _fit(sweep, base, w2, w1):
     )
 
 
-def _closed_form(costs, envelopes, s):
+def _closed_form(points, s):
     """(w2, w1): the k^2 and k coefficients of w(k), from the envelopes.
 
-    At a point, c(t) = costs[p][t] for parts t = 0..M, and c^ is the
+    At a point, c(t) = point.cost[t] for parts t = 0..M, and c^ is the
     lower convex envelope of the points (t, c(t)), with integer
-    vertices, 0 among them, and segments envelopes[p] (_envelope).
+    vertices, 0 among them, and segments point.segments (_envelope).
     D^ = sum_p c^ is convex, nondecreasing and linear between
     integers; u* is the least u in [0, M] with s D^(u) >= 2, or M.
     On a segment [a, b] of c^, L = b - a, with line l, the excess
@@ -597,16 +596,16 @@ def _closed_form(costs, envelopes, s):
     point of multiplicity m >= 2 at s = 1 has D^(u) = m u, E = 0 and
     u* = 2/m, so w2 = w1 = 2/m - 2 and DF0 = 4 (w2 - 2 w1) = 8 - 8/m.
     """
-    M = len(costs[0]) - 1
-    Q = lcm(*(L for segments in envelopes for _, _, L, _ in segments))
+    M = len(points[0].cost) - 1
+    Q = lcm(*(L for point in points for _, _, L, _ in point.segments))
     dhat = [0] * (M + 1)  # Q D^ at the integers
     ebar = [0] * M  # Q^2 E on each unit interval
-    for cost, segments in zip(costs, envelopes):
-        for a, b, L, rise in segments:
+    for point in points:
+        for a, b, L, rise in point.segments:
             unit = Q // L
-            excess = _mean_excess(cost, a, b) * unit * unit
+            excess = _mean_excess(point.cost, a, b) * unit * unit
             for t in range(a + 1, b + 1):
-                dhat[t] += Q * cost[a] + rise * unit * (t - a)
+                dhat[t] += Q * point.cost[a] + rise * unit * (t - a)
                 ebar[t - 1] += excess
     # s D^ = num (Q D^) / R, so s D^ <= 2 iff num (Q D^) <= 2 R; the unit
     # intervals where it holds throughout are a prefix, as D^ rises

@@ -109,7 +109,7 @@ class MultiPoly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
-        self.arity = arity
+        self.arity = integer("arity", arity)
         clean = {}
         for expo, c in (terms or {}).items():
             c = rat(c)
@@ -122,10 +122,12 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, arity):
-        return cls(arity, {(0,) * arity: rat(value)})
+        return cls(arity, {(0,) * integer("arity", arity): rat(value)})
 
     @classmethod
     def variable(cls, index, arity):
+        if integer("index", index, least=0) >= integer("arity", arity):
+            raise InputError(f"variable index must be below the arity {arity}")
         expo = [0] * arity
         expo[index] = 1
         return cls(arity, {tuple(expo): Fraction(1)})
@@ -176,11 +178,10 @@ def det_symbolic(matrix):
         raise InputError("determinant needs a square, nonempty matrix")
     if size > MAX_DET_SIZE:
         raise SizeError(f"determinant capped at {MAX_DET_SIZE}x{MAX_DET_SIZE}")
-    arity = matrix[0][0].arity
-    for row in matrix:
-        for entry in row:
-            if entry.arity != arity:
-                raise InputError("inconsistent arity in matrix entries")
+    arity = getattr(matrix[0][0], "arity", None)
+    entries = [entry for row in matrix for entry in row]
+    if any(not isinstance(e, MultiPoly) or e.arity != arity for e in entries):
+        raise InputError("determinant entries must be MultiPolys of one arity")
 
     # minors[mask] = det of rows 0..popcount(mask)-1, columns in mask
     minors = {0: MultiPoly.constant(1, arity)}

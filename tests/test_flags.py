@@ -11,6 +11,7 @@ the reference the escalation is compared against.
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 from pathlib import Path
 
@@ -246,7 +247,7 @@ def test_counts_must_be_integers(call, args):
 def test_tilde_size_cap(monkeypatch):
     assert len(tilde_divisors(POINT, MAX_KS).divisors) == MAX_KS + 1
 
-    def no_step(costs, rows):
+    def no_step(cost, row):
         raise AssertionError("a part step was taken past the cap")
 
     monkeypatch.setattr(flags, "_minplus_step", no_step)
@@ -261,7 +262,7 @@ def test_point_count_cap(monkeypatch):
     assert tilde_divisors(at_cap, 1).divisors[1].degree == MAX_POINTS
     flag = FlagIdealP1([{f"p{i}": 1 for i in range(MAX_POINTS + 1)}])
 
-    def no_step(costs, rows):
+    def no_step(cost, row):
         raise AssertionError("a part step was taken past the cap")
 
     monkeypatch.setattr(flags, "_minplus_step", no_step)
@@ -322,8 +323,8 @@ def test_df_seshadri_boundary():
 
 
 def closed_form(costs, s):
-    """_closed_form on each point's envelope, as a _Sweep derives them."""
-    return _closed_form(costs, [flags._envelope(cost) for cost in costs], s)
+    """_closed_form on the points of these costs, built outside the cache."""
+    return _closed_form([flags._Point(tuple(cost)) for cost in costs], s)
 
 
 def pinned(flag, s, base):
@@ -546,6 +547,11 @@ def _oracle_minplus_power(costs, counts):
         yield rows
 
 
+def step_all(costs, rows):
+    """One more part at every point."""
+    return [flags._minplus_step(cost, row) for cost, row in zip(costs, rows)]
+
+
 def random_costs(rng, m):
     """One point's costs on a valid flag: 0, then nondecreasing, often
     with flat runs and a zero prefix (the point absent from D_1)."""
@@ -564,7 +570,7 @@ def test_band_step_matches_the_full_convolution():
         ]:
             rows = [[0] for _ in costs]
             for n, full in enumerate(_oracle_minplus_power(costs, range(1, 61)), 1):
-                rows = flags._minplus_step(costs, rows)
+                rows = step_all(costs, rows)
                 assert rows == full, (costs, n)
 
 
@@ -577,7 +583,7 @@ def test_weight_read_stops_at_the_crossing():
         for rows in _oracle_minplus_power(costs, (1, 2, 5, 12)):
             top = max(map(sum, zip(*rows)))
             for N in range(1, top + 3):
-                assert flags._total_weight(rows, N) == -sum(
+                assert flags._total_weight(rows, N, len(rows[0])) == -sum(
                     min(N, sum(col)) for col in zip(*rows)
                 ), (costs, N)
 
@@ -617,7 +623,7 @@ def band_weights(costs, s, bound):
     """k -> w(k) for every k with k*s <= bound, from the band sweep."""
     rows, weights = [[0] for _ in costs], {}
     for n in range(1, bound + 1):
-        rows = flags._minplus_step(costs, rows)
+        rows = step_all(costs, rows)
         k = n / s
         if k.denominator == 1:
             N = 2 * int(k) + 1
@@ -643,30 +649,38 @@ def test_stretch_matches_the_band_sweep():
             assert [sweep.weight(k) for k in order] == [expected[k] for k in order], (
                 costs, s
             )
-            assert sweep._certified[0] <= 40, costs
+            assert all(certified_at(point) <= 40 for point in sweep.points), costs
+
+
+def certified_at(point):
+    """n0, the part count of a certified point's last kept row."""
+    assert point.cuts is not None
+    return len(point.rows) - 1
 
 
 def test_certificate_checks_each_condition():
-    # rows that break (C) or (P) alone, or that are too short for (S),
-    # do not certify; the rows the sweep certified do
+    # at each point, a row that breaks (C) or (P) alone, or that is too
+    # short for (S), does not certify; the row the point certified does
     flag = FlagIdealP1([{"p": 1, "q": 2}, {"p": 3, "q": 2}, {"p": 4, "q": 5}])
     sweep = _Sweep(flag, 1)
     sweep.weight(MAX_KS)
-    n0, rows, cuts = sweep._certified
-    costs, envelopes = sweep._costs, sweep._envelopes
+    for point in sweep.points:
+        row, cuts, segments = point.rows[-1], point.cuts, point.segments
+        assert certified_at(point) > 0
 
-    def insert_one(rows):
-        return [flags._stretch(row, c, 1, _INF) for row, c in zip(rows, cuts)]
+        def insert_one(row):
+            return flags._stretch(row, cuts, 1, _INF)
 
-    assert flags._certify(envelopes, rows, insert_one(rows)) == cuts
-    stepped = insert_one(rows)
-    stepped[0][-1] += 1
-    assert flags._certify(envelopes, rows, stepped) is None
-    moved = [list(row) for row in rows]
-    moved[0][cuts[0][0][0] - 1] += 1  # inside the first window of (P)
-    assert flags._certify(envelopes, moved, insert_one(moved)) is None
-    short = [list(cost) for cost in costs]  # the rows at one part
-    assert flags._certify(envelopes, short, flags._minplus_step(costs, short)) is None
+        assert flags._certify(segments, row, insert_one(row)) == cuts
+        stepped = insert_one(row)
+        stepped[-1] += 1
+        assert flags._certify(segments, row, stepped) is None
+        moved = list(row)
+        moved[cuts[0][0] - 1] += 1  # inside the first window of (P)
+        assert flags._certify(segments, moved, insert_one(moved)) is None
+        short = list(point.cost)  # the row at one part
+        stepped = flags._minplus_step(point.cost, short)
+        assert flags._certify(segments, short, stepped) is None
 
 
 def outside_run(row, cut):
@@ -685,21 +699,20 @@ def lift_one_period(row, cut):
 
 @pytest.mark.parametrize("mutate", [outside_run, lift_one_period])
 def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, mutate):
-    # the sweep reads its weights off cuts mutated after they certified:
+    # each point reads its rows off cuts mutated after they certified:
     # (C) rejects every mutated cut, and the band sweep sees wrong weights
     certify = flags._certify
     caught = []
 
-    def mutated(envelopes, rows, stepped):
-        found = certify(envelopes, rows, stepped)
-        for row, nxt, cuts in zip(rows, stepped, found or ()):
-            for i, cut in enumerate(cuts):
-                bad = mutate(row, cut)
-                if bad:
-                    cuts[i] = bad
-                    caught.append(flags._stretch(row, cuts, 1, _INF) != nxt)
-                    return found
-        return found
+    def mutated(segments, row, stepped):
+        cuts = certify(segments, row, stepped)
+        for i, cut in enumerate(cuts or ()):
+            bad = mutate(row, cut)
+            if bad:
+                cuts[i] = bad
+                caught.append(flags._stretch(row, cuts, 1, _INF) != stepped)
+                return cuts
+        return cuts
 
     monkeypatch.setattr(flags, "_certify", mutated)
     wrong = 0
@@ -714,7 +727,7 @@ def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, muta
 
 def test_df_outputs_without_the_certificate(monkeypatch, capsys):
     # rows that never certify are stepped as the band sweep always was
-    monkeypatch.setattr(flags, "_certify", lambda envelopes, rows, stepped: None)
+    monkeypatch.setattr(flags, "_certify", lambda segments, row, stepped: None)
     data = Path(__file__).parent / "data" / "df"
     for name, by_s in [
         item for table in ("expected.json", "expected_walk.json")
@@ -739,7 +752,9 @@ def cap_size_flag():
 
 
 def test_cap_size_flag_takes_few_part_steps(monkeypatch):
-    # the band sweep alone took 276 part steps to k*s = 276 (base 23)
+    # the band sweep alone took 276 part steps of all 8 rows to k*s = 276
+    # (base 23); each point now steps each part once, until it certifies
+    # (182 row steps in all, where the points stepped jointly took 280)
     steps = count_steps(monkeypatch)
     flag = cap_size_flag()
     assert (flag.M, len(flag.points())) == (16, 8)
@@ -756,7 +771,7 @@ def test_cap_size_flag_takes_few_part_steps(monkeypatch):
         "onset_k": 46,
         "semiampleness_checked": False,
     }
-    assert len(steps) <= 64
+    assert len(steps) == len(set(steps)) <= 200
 
 
 def test_tilde_rows_match_the_band_sweep():
@@ -769,25 +784,26 @@ def test_tilde_rows_match_the_band_sweep():
         sweep = _Sweep(flag, 1)
         rows = [[0] for _ in costs]
         for ks in range(1, STRETCH_BOUND + 1):
-            rows = flags._minplus_step(costs, rows)
-            assert sweep.rows(ks) == rows, (costs, ks)
+            rows = step_all(costs, rows)
+            assert [point.row(ks) for point in sweep.points] == rows, (costs, ks)
             if ks in (1, 7, 41, STRETCH_BOUND):
                 assert tilde_divisors(flag, ks) == flags.TildeFamily(ks, tuple(
                     PointDivisor(dict(zip(labels, col))) for col in zip(*rows)
                 )), (costs, ks)
-        assert sweep._certified[0] <= 40, costs
+        assert all(certified_at(point) <= 40 for point in sweep.points), costs
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["seeded", "linear"])
 def test_tilde_at_the_caps_takes_few_part_steps(monkeypatch, linear):
-    # the band sweep alone took all 480 part steps; on the linear flag
-    # D_t(p_i) = (31 + 2i) t every split of j costs (31 + 2i) j at p_i
+    # the band sweep alone took all 480 part steps of the 8 rows; on the
+    # linear flag D_t(p_i) = (31 + 2i) t every split of j costs
+    # (31 + 2i) j at p_i; row steps: 182 seeded, 40 linear
     steps = count_steps(monkeypatch)
     flag = FlagIdealP1([
         {f"p{i}": (31 + 2 * i) * t for i in range(8)} for t in range(1, 17)
     ]) if linear else cap_size_flag()
     family = tilde_divisors(flag, MAX_KS)
-    assert len(steps) <= 64
+    assert len(steps) == len(set(steps)) <= 200
     assert len(family.divisors) == 16 * MAX_KS + 1
     assert family.divisors[1] == flag.divisors[0]
     assert family.divisors[-1] == PointDivisor(
@@ -1029,13 +1045,14 @@ def test_df0_is_nonnegative_on_every_small_flag():
     assert confirmed == 233
 
 def count_steps(monkeypatch):
-    """The part count n of the rows at each _minplus_step call."""
+    """(cost, n) at each _minplus_step call: the point's costs and the
+    part count of the row it steps."""
     steps = []
     step = flags._minplus_step
 
-    def counted(costs, rows):
-        steps.append((len(rows[0]) - 1) // (len(costs[0]) - 1))
-        return step(costs, rows)
+    def counted(cost, row):
+        steps.append((tuple(cost), (len(row) - 1) // (len(cost) - 1)))
+        return step(cost, row)
 
     monkeypatch.setattr(flags, "_minplus_step", counted)
     return steps
@@ -1046,8 +1063,8 @@ def spy_certify(monkeypatch):
     passed = []
     certify = flags._certify
 
-    def spied(envelopes, rows, stepped):
-        cuts = certify(envelopes, rows, stepped)
+    def spied(segments, row, stepped):
+        cuts = certify(segments, row, stepped)
         passed.append(cuts is not None)
         return cuts
 
@@ -1062,9 +1079,99 @@ def test_escalation_takes_each_part_step_once(monkeypatch):
     passed = spy_certify(monkeypatch)
     report = donaldson_futaki(FlagIdealP1([{"p": 16}]), 1)
     assert report.k_grid.base > 1
-    assert steps == list(range(len(steps)))
+    assert steps == [((0, 16), n) for n in range(len(steps))]
     assert passed == [False] * (len(steps) - 1) + [True]
     assert len(steps) < report.k_grid.base * max(flags.REFINE_MULTIPLIERS)
+
+
+# ---------------------------------------------------------------------------
+# the points shared across flags, s and calls
+
+
+SHARED = (0, 1, 3, 4)  # the costs of q in FIRST and of a in SECOND
+FIRST = FlagIdealP1([{"p": 1, "q": 1}, {"p": 2, "q": 3}, {"p": 2, "q": 4}])
+SECOND = FlagIdealP1([{"a": 1, "z": 2}, {"a": 3, "z": 2}, {"a": 4, "z": 5}])
+
+
+def test_a_common_point_steps_once(monkeypatch):
+    # the shared point is the second of FIRST and the first of SECOND,
+    # under other labels; each flag at s = 1 and 2/3 reads it
+    steps = count_steps(monkeypatch)
+    calls = [(flag, s) for flag in (FIRST, SECOND) for s in (F(1), F(2, 3))]
+    reports = [donaldson_futaki(flag, s).to_json() for flag, s in calls]
+    assert len(steps) == len(set(steps))
+    shared = [n for cost, n in steps if cost == SHARED]
+    assert shared == list(range(len(shared))) and shared
+    assert flags._point.cache_info().currsize == 3
+    # the same reports from a cold cache, each call alone
+    for (flag, s), report in zip(calls, reports):
+        flags._point.cache_clear()
+        assert donaldson_futaki(flag, s).to_json() == report, (flag, s)
+
+
+def test_equal_points_of_one_flag_step_once(monkeypatch):
+    steps = count_steps(monkeypatch)
+    flag = FlagIdealP1([{"p": 1, "q": 1, "r": 1}, {"p": 3, "q": 3, "r": 3}])
+    assert donaldson_futaki(flag, 1).DF0 == F(16, 3)
+    assert {cost for cost, _ in steps} == {(0, 1, 3)}
+    assert [n for _, n in steps] == list(range(len(steps)))
+    assert flags._point.cache_info().currsize == 1
+    assert [weight(flag, k, 1) for k in (1, 2, 3)] == [
+        brute_weight(flag, k, k) for k in (1, 2, 3)
+    ]
+
+
+def test_the_point_key_is_the_cost_tuple():
+    # labels, the other points and s do not enter the key
+    first, second = _Sweep(FIRST, 1), _Sweep(SECOND, F(2, 3))
+    assert first.points[1] is second.points[0]
+    assert first.points[1].cost == SHARED
+    assert first.points[0] is not second.points[1]
+    assert _Sweep(FlagIdealP1([{"x": 1}, {"x": 3}, {"x": 4}]), 5).points == [
+        first.points[1]
+    ]
+    assert flags._point.cache_info().currsize == 3
+
+
+def test_the_point_cache_is_bounded(monkeypatch):
+    assert flags._point.cache_info().maxsize == flags.POINT_CACHE
+    assert 0 < flags.POINT_CACHE < 10**4
+    # the same cache, rebuilt with a bound of 3: the least recent point
+    # goes, and a flag that reads it again steps it again
+    monkeypatch.setattr(flags, "_point", lru_cache(maxsize=3)(flags._Point))
+    for m in range(1, 9):
+        flag = FlagIdealP1([{"p": m}])
+        assert weight(flag, 4, 1) == brute_weight(flag, 4, 4)
+        assert flags._point.cache_info().currsize <= 3
+    steps = count_steps(monkeypatch)
+    weight(FlagIdealP1([{"p": 8}]), 4, 1)
+    assert steps == []
+    weight(FlagIdealP1([{"p": 1}]), 4, 1)
+    assert steps and {cost for cost, _ in steps} == {(0, 1)}
+
+
+def test_rows_handed_out_are_never_mutated():
+    flag = cap_size_flag()
+    first = tilde_divisors(flag, 40)
+    kept = [list(map(list, point.rows)) for point in _Sweep(flag, 1).points]
+    donaldson_futaki(flag, 1)
+    for k in (3, 30, 300, 3):
+        weight(flag, k, F(2, 3))
+    for ks in (1, 7, 40, 100):
+        tilde_divisors(flag, ks)
+    assert tilde_divisors(flag, 40) == first
+    assert [point.rows for point in _Sweep(flag, 1).points] == kept
+
+
+def test_the_largest_measured_point_entry():
+    # every envelope segment of length 1 at M = 16: (S) at the first cut
+    # needs n0 >= 2 (M + 1) = 34, and the point keeps its rows up to n0,
+    # M n + 1 entries at n parts (the _Point docstring)
+    point = flags._point(tuple(t * t for t in range(17)))
+    point.row(MAX_KS)
+    assert [L for _, _, L, _ in point.segments] == [1] * 16
+    assert certified_at(point) == 34
+    assert sum(map(len, point.rows)) == sum(16 * n + 1 for n in range(35)) == 9555
 
 
 def spy_weights(monkeypatch):
@@ -1102,7 +1209,7 @@ def test_refinement_miss_message():
     weigh = sweep.weight
     sweep.weight = lambda k: weigh(k) + (k == 10)
     with pytest.raises(GridTooShortError) as info:
-        _fit(sweep, 1, *_closed_form(sweep._costs, sweep._envelopes, sweep.s))
+        _fit(sweep, 1, *_closed_form(sweep.points, sweep.s))
     assert str(info.value) == "refinement misses w(10)"
 
 

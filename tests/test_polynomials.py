@@ -337,3 +337,24 @@ def test_det_rejects_nonsquare_and_oversize():
         det_symbolic([[one, one]])
     with pytest.raises(SizeError):
         det_symbolic([[one] * 8 for _ in range(8)])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: MultiPoly.variable(5, 2), "variable index must be below the arity 2"),
+    (lambda: MultiPoly.variable(-1, 2), "index must be an integer >= 0"),
+    (lambda: MultiPoly.variable(0, 0), "arity must be an integer >= 1"),
+    (lambda: MultiPoly.constant(1, 2.5), "arity must be an integer >= 1"),
+    (lambda: MultiPoly.constant(1, True), "arity must be an integer >= 1"),
+    (lambda: MultiPoly("2", {(1, 0): 1}), "arity must be an integer >= 1"),
+    (lambda: det_symbolic([[1]]), "entries must be MultiPolys of one arity"),
+    (lambda: det_symbolic([[MultiPoly.constant(1, 1), 0], [0, 0]]),
+     "entries must be MultiPolys of one arity"),
+    (lambda: det_symbolic([[MultiPoly.constant(1, 1), MultiPoly.constant(1, 2)],
+                           [MultiPoly.constant(1, 1), MultiPoly.constant(1, 1)]]),
+     "entries must be MultiPolys of one arity"),
+], ids=["index-past-arity", "index-negative", "arity-zero", "arity-float",
+        "arity-bool", "arity-str", "det-int", "det-mixed", "det-arities"])
+def test_multipoly_inputs_raise_typed_errors(build, message):
+    # each once raised a bare IndexError, TypeError or AttributeError
+    with pytest.raises(InputError, match=message):
+        build()
