@@ -4,9 +4,9 @@ Public surface: central hyperplane arrangement lct with
 certificates, the Gibbs-type gamma invariant of P^1, monomial
 multiplier ideals as a testing oracle, Donaldson-Futaki invariants of
 flag-ideal configurations, whose reports carry their weights as
-SampleGrid and UniPoly, and the verification oracles: the exact
-Veronese determinants (MultiPoly, det_symbolic) and the multiplier
-laws.
+SampleGrid and UniPoly, and the verification oracles: the Veronese
+determinant and the Vandermonde product, expanded exactly as
+{exponent tuple: int} dicts, and the multiplier laws.
 """
 
 from types import ModuleType as _ModuleType
@@ -53,13 +53,7 @@ from .monomials import (
     summation_check,
 )
 from .rationals import rat, rat_str
-from .verification import (
-    MultiPoly,
-    det_symbolic,
-    law_checks,
-    vandermonde_product,
-    veronese_determinant,
-)
+from .verification import law_checks, vandermonde_product, veronese_determinant
 
 __all__ = sorted(name for name, value in globals().items()
                  if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -11,15 +11,16 @@ random.Random stream: flags, summation instances, and the
 multiplier-ideal laws (law_checks).  So do the oracles that only the
 criteria and the tests call: the composition enumeration of the
 min-plus power (brute_force_tilde_degrees), and the Veronese
-determinant expanded over sparse exact polynomials (MultiPoly,
-det_symbolic), which C04 compares with the Vandermonde product.
+determinant expanded by the Leibniz formula, which C04 compares with
+the Vandermonde product; both are {exponent tuple: int} dicts.
 """
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 
 from .arrangements import (
     braid_arrangement,
@@ -27,7 +28,7 @@ from .arrangements import (
     lct_braid,
     lct_central,
 )
-from .errors import InputError, SizeError
+from .errors import SizeError
 from .flags import FlagIdealP1, UniPoly, donaldson_futaki, tilde_divisors
 from .gamma import SEMISTABLE_NOT_STABLE, gamma_at_k, gamma_report
 from .monomials import (
@@ -36,7 +37,7 @@ from .monomials import (
     multiplier_ideal,
     summation_check,
 )
-from .rationals import integer, rat, rat_str
+from .rationals import integer, rat_str
 
 MAX_K_SYMBOLIC = 3
 MAX_DET_SIZE = 2 * MAX_K_SYMBOLIC + 1
@@ -103,115 +104,23 @@ def brute_force_tilde_degrees(flag, ks):
     ]
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial: exponent vector -> coefficient."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity, terms=None):
-        self.arity = integer("arity", arity)
-        clean = {}
-        for expo, c in (terms or {}).items():
-            c = rat(c)
-            if c == 0:
-                continue
-            if len(expo) != arity:
-                raise InputError("exponent vector arity mismatch")
-            clean[tuple(expo)] = c
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, value, arity):
-        return cls(arity, {(0,) * integer("arity", arity): rat(value)})
-
-    @classmethod
-    def variable(cls, index, arity):
-        if integer("index", index, least=0) >= integer("arity", arity):
-            raise InputError(f"variable index must be below the arity {arity}")
-        expo = [0] * arity
-        expo[index] = 1
-        return cls(arity, {tuple(expo): Fraction(1)})
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise InputError("arity mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.arity, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.arity, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-
-def det_symbolic(matrix):
-    """Exact determinant of a square matrix of MultiPoly entries.
-
-    Division-free expansion by dynamic programming over column
-    subsets; capped at MAX_DET_SIZE, the matrix size of
-    veronese_determinant(MAX_K_SYMBOLIC).
-    """
-    size = len(matrix)
-    if size == 0 or any(len(row) != size for row in matrix):
-        raise InputError("determinant needs a square, nonempty matrix")
-    if size > MAX_DET_SIZE:
-        raise SizeError(f"determinant capped at {MAX_DET_SIZE}x{MAX_DET_SIZE}")
-    arity = getattr(matrix[0][0], "arity", None)
-    entries = [entry for row in matrix for entry in row]
-    if any(not isinstance(e, MultiPoly) or e.arity != arity for e in entries):
-        raise InputError("determinant entries must be MultiPolys of one arity")
-
-    # minors[mask] = det of rows 0..popcount(mask)-1, columns in mask
-    minors = {0: MultiPoly.constant(1, arity)}
-    for r in range(size):
-        nxt = {}
-        for mask, minor in minors.items():
-            for c in range(size):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                below = bin(mask & (bit - 1)).count("1")
-                term = minor * matrix[r][c]
-                if (r + below) % 2:
-                    term = -term
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        minors = nxt
-    return minors[(1 << size) - 1]
-
-
 def vandermonde_product(nvars):
-    """prod_{i<j} (u_i - u_j), expanded; capped at MAX_DET_SIZE variables."""
+    """prod_{i<j} (u_i - u_j), expanded as {exponent tuple: int}.
+
+    Multiplied out one binomial at a time; capped at MAX_DET_SIZE
+    variables.
+    """
     if integer("nvars", nvars) > MAX_DET_SIZE:
         raise SizeError(f"Vandermonde product capped at {MAX_DET_SIZE} variables")
-    poly = MultiPoly.constant(1, nvars)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            ui = MultiPoly.variable(i, nvars)
-            uj = MultiPoly.variable(j, nvars)
-            poly = poly * (ui - uj)
+    poly = {(0,) * nvars: 1}
+    for i, j in combinations(range(nvars), 2):
+        expanded = Counter()
+        for expo, c in poly.items():
+            for index, coeff in ((i, c), (j, -c)):
+                bumped = list(expo)
+                bumped[index] += 1
+                expanded[tuple(bumped)] += coeff
+        poly = {expo: c for expo, c in expanded.items() if c}
     return poly
 
 
@@ -219,23 +128,21 @@ def veronese_determinant(k):
     """Chart equation of the degree-k determinantal divisor.
 
     Determinant of the (2k+1)x(2k+1) matrix with rows
-    (1, u_i, ..., u_i^(2k)), expanded by det_symbolic.  C04
-    (check_vandermonde) compares it with the Vandermonde product.
+    (1, u_i, ..., u_i^(2k)), as {exponent tuple: int}.  Every entry is
+    a monomial, so by the Leibniz formula the permutation p contributes
+    sign(p) * u_0^p(0) ... u_2k^p(2k), and no two permutations share a
+    monomial.  C04 (check_vandermonde) compares it with the
+    Vandermonde product.
     """
     if integer("k", k, least=0) > MAX_K_SYMBOLIC:
         raise SizeError(
             f"symbolic determinant capped at k = {MAX_K_SYMBOLIC} "
             f"(matrix size {MAX_DET_SIZE})"
         )
-    nvars = 2 * k + 1
-    matrix = []
-    for i in range(nvars):
-        u = MultiPoly.variable(i, nvars)
-        row = [MultiPoly.constant(1, nvars)]
-        for _ in range(2 * k):
-            row.append(row[-1] * u)
-        matrix.append(row)
-    return det_symbolic(matrix)
+    return {
+        p: (-1) ** sum(a > b for a, b in combinations(p, 2))
+        for p in permutations(range(2 * k + 1))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +185,14 @@ def check_gamma(quick=False, **_):
 
 
 def check_vandermonde(quick=False, **_):
-    for k in (1,) if quick else (1, 2):
+    ks = (1,) if quick else (1, 2)
+    for k in ks:
         det = veronese_determinant(k)
         prod_poly = vandermonde_product(2 * k + 1)
-        if det != prod_poly and det != -prod_poly:  # classical identity
+        negated = {expo: -c for expo, c in prod_poly.items()}
+        if det != prod_poly and det != negated:  # classical identity
             return False, f"determinant mismatch at k = {k}"
-    return True, "determinant = +-prod(u_i - u_j) for k = 1, 2"
+    return True, f"determinant = +-prod(u_i - u_j) for k = {', '.join(map(str, ks))}"
 
 
 def check_df_closed_forms(quick=False, **_):

@@ -494,10 +494,10 @@ def test_verify_reports_a_wrong_determinant_as_c04_fail(monkeypatch, capsys):
     # veronese_determinant returns the expansion unchecked; C04 alone
     # compares it with the Vandermonde product, so a wrong one is a
     # failing criterion, not a traceback
-    def wrong(matrix):
-        return verification.MultiPoly.constant(1, matrix[0][0].arity)
+    def wrong(k):
+        return {(0,) * (2 * k + 1): 1}
 
-    monkeypatch.setattr(verification, "det_symbolic", wrong)
+    monkeypatch.setattr(verification, "veronese_determinant", wrong)
     assert verification.check_vandermonde(quick=True) == (
         False, "determinant mismatch at k = 1"
     )

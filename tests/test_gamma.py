@@ -1,12 +1,13 @@
 """Gibbs-type stability of P^1: determinants, samples, verdict."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from kstab import (
     InputError,
-    MultiPoly,
     SizeError,
     braid_arrangement,
     classify,
@@ -16,23 +17,24 @@ from kstab import (
     vandermonde_product,
     veronese_determinant,
 )
-from kstab import arrangements, gamma
+from kstab import arrangements, gamma, verification
+from kstab.cli import main
 from kstab.gamma import gamma_report_json
 
 F = Fraction
 
 
 def test_determinant_k0_is_one():
-    assert veronese_determinant(0) == MultiPoly.constant(1, 1)
+    assert veronese_determinant(0) == {(0,): 1}
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_determinant_matches_product(k):
     det = veronese_determinant(k)
     product = vandermonde_product(2 * k + 1)
-    assert det in (product, -product)
-    # sign-insensitive form of the same identity
-    assert det * det == product * product
+    # det = prod_{i<j} (u_j - u_i), which has (2k+1)k sign flips
+    assert det == {expo: (-1) ** k * c for expo, c in product.items()}
+    assert len(det) == math.factorial(2 * k + 1)
 
 
 def test_determinant_size_cap():
@@ -96,6 +98,24 @@ def test_report_builds_no_braid_certificate(monkeypatch):
     assert report["verdict"].kind == "semistable_not_stable"
     with pytest.raises(AssertionError, match="certificate was built"):
         arrangements.lct_braid(3)
+
+
+def test_a_wrong_braid_value_fails_c03_only(monkeypatch, capsys):
+    # gamma_at_k returns k * lct_braid_value(2k + 1) unchecked; C03 alone
+    # compares it with 2k/(2k+1), so a wrong value is a failing
+    # criterion, not a traceback
+    monkeypatch.setattr(gamma, "lct_braid_value", lambda g: F(1, g))
+    assert gamma_at_k(1).gamma_k == F(1, 3)
+    assert verification.check_gamma(quick=True) == (
+        False, "gamma sample at k = 1 is 1/3"
+    )
+    code = main(["verify", "--quick"])
+    out = capsys.readouterr()
+    card = json.loads(out.out)
+    assert code == 1 and card["all_pass"] is False
+    assert [c["id"] for c in card["criteria"] if not c["pass"]] == ["C03-gamma-p1"]
+    assert "C03-gamma-p1: FAIL (" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_verdict_thresholds():

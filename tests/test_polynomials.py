@@ -4,18 +4,18 @@ The interpolation, blind-fit and df_coefficient tests check the
 reference that tests/test_flags.py compares the DF reports against.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from kstab import (
     GridTooShortError,
     InputError,
-    MultiPoly,
     SizeError,
     UniPoly,
-    det_symbolic,
     rat,
     rat_str,
 )
@@ -292,69 +292,93 @@ def test_df_coefficient_degree_contracts():
 
 
 # ---------------------------------------------------------------------------
-# symbolic determinants
+# the Veronese determinant and the Vandermonde product, at integer points
 
 
-def _vars(n):
-    return [MultiPoly.variable(i, n) for i in range(n)]
+def _evaluate(poly, point):
+    return sum(c * math.prod(x ** e for x, e in zip(point, expo))
+               for expo, c in poly.items())
+
+
+def _bareiss_det(matrix):
+    """Determinant of an int matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    size, sign, pivot = len(a), 1, 1
+    for i in range(size - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, size) if a[r][i]), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        for r in range(i + 1, size):
+            for c in range(i + 1, size):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // pivot
+        pivot = a[i][i]
+    return sign * a[-1][-1]
+
+
+def _points(nvars, count=12):
+    # small ranges, so that some points repeat a coordinate (value 0)
+    rng = random.Random(f"veronese-points:{nvars}")
+    return [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(count)]
+
+
+def test_bareiss_det_on_known_matrices():
+    assert _bareiss_det([[7]]) == 7
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[2, 0, 1], [1, 3, 2], [1, 1, 1]]) == 0
+    assert _bareiss_det([[0, 2, 1], [3, 0, 4], [5, 6, 0]]) == 58
 
 
 def test_det_1x1():
-    (u,) = _vars(1)
-    assert det_symbolic([[u]]) == u
-
-
-def test_det_2x2_vandermonde():
-    u1, u2 = _vars(2)
-    one = MultiPoly.constant(1, 2)
-    assert det_symbolic([[one, u1], [one, u2]]) == u2 - u1
+    # the matrix (1): one variable, exponent 0
+    assert veronese_determinant(0) == {(0,): 1}
+    assert vandermonde_product(1) == {(0,): 1}
 
 
 def test_det_3x3_vandermonde():
-    u1, u2, u3 = _vars(3)
-    one = MultiPoly.constant(1, 3)
-    matrix = [[one, u, u * u] for u in (u1, u2, u3)]
-    product = (u2 - u1) * (u3 - u1) * (u3 - u2)
-    assert det_symbolic(matrix) == product
-
-
-def test_det_alternating_on_random_matrices():
-    rng = random.Random("det-alt")
-    for _ in range(10):
-        matrix = [
-            [MultiPoly.constant(rng.randint(-4, 4), 1) for _ in range(3)]
-            for _ in range(3)
-        ]
-        i, j = rng.sample(range(3), 2)
-        swapped = list(matrix)
-        swapped[i], swapped[j] = matrix[j], matrix[i]
-        assert det_symbolic(swapped) == -det_symbolic(matrix)
+    # rows (1, u_i, u_i^2): one signed monomial per permutation
+    det = veronese_determinant(1)
+    assert det == {
+        (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+        (0, 2, 1): -1, (1, 0, 2): -1, (2, 1, 0): -1,
+    }
+    # and it is (u2 - u1)(u3 - u1)(u3 - u2)
+    for u1, u2, u3 in _points(3):
+        assert _evaluate(det, (u1, u2, u3)) == (u2 - u1) * (u3 - u1) * (u3 - u2)
 
 
 def test_det_rejects_nonsquare_and_oversize():
-    one = MultiPoly.constant(1, 1)
-    with pytest.raises(InputError):
-        det_symbolic([[one, one]])
+    # the matrix is (2k+1)x(2k+1), square by construction: a bad size is a bad k
+    for bad in (-1, 1.5, True):
+        with pytest.raises(InputError, match=r"^k must be an integer >= 0$"):
+            veronese_determinant(bad)
+    with pytest.raises(InputError, match=r"^nvars must be an integer >= 1$"):
+        vandermonde_product(0)
+    # past the 7x7 cap, neither is expanded
+    with pytest.raises(SizeError, match=r"^symbolic determinant capped at k = 3 \(matrix size 7\)$"):
+        veronese_determinant(4)
     with pytest.raises(SizeError):
-        det_symbolic([[one] * 8 for _ in range(8)])
+        vandermonde_product(8)
 
 
-@pytest.mark.parametrize("build,message", [
-    (lambda: MultiPoly.variable(5, 2), "variable index must be below the arity 2"),
-    (lambda: MultiPoly.variable(-1, 2), "index must be an integer >= 0"),
-    (lambda: MultiPoly.variable(0, 0), "arity must be an integer >= 1"),
-    (lambda: MultiPoly.constant(1, 2.5), "arity must be an integer >= 1"),
-    (lambda: MultiPoly.constant(1, True), "arity must be an integer >= 1"),
-    (lambda: MultiPoly("2", {(1, 0): 1}), "arity must be an integer >= 1"),
-    (lambda: det_symbolic([[1]]), "entries must be MultiPolys of one arity"),
-    (lambda: det_symbolic([[MultiPoly.constant(1, 1), 0], [0, 0]]),
-     "entries must be MultiPolys of one arity"),
-    (lambda: det_symbolic([[MultiPoly.constant(1, 1), MultiPoly.constant(1, 2)],
-                           [MultiPoly.constant(1, 1), MultiPoly.constant(1, 1)]]),
-     "entries must be MultiPolys of one arity"),
-], ids=["index-past-arity", "index-negative", "arity-zero", "arity-float",
-        "arity-bool", "arity-str", "det-int", "det-mixed", "det-arities"])
-def test_multipoly_inputs_raise_typed_errors(build, message):
-    # each once raised a bare IndexError, TypeError or AttributeError
-    with pytest.raises(InputError, match=message):
-        build()
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_veronese_determinant_matches_integer_elimination(k):
+    nvars = 2 * k + 1
+    det = veronese_determinant(k)
+    values = []
+    for point in _points(nvars):
+        matrix = [[u ** c for c in range(nvars)] for u in point]
+        values.append(_bareiss_det(matrix))
+        assert _evaluate(det, point) == values[-1], point
+    # the points hit both zero and nonzero values once there are two rows
+    assert any(values) and (nvars == 1 or not all(values))
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_vandermonde_product_matches_the_product_of_differences(nvars):
+    product = vandermonde_product(nvars)
+    for point in _points(nvars):
+        direct = math.prod(point[i] - point[j] for i, j in combinations(range(nvars), 2))
+        assert _evaluate(product, point) == direct, point

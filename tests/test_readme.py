@@ -36,14 +36,14 @@ def test_readme_library_block():
 
 
 # every name `from kstab import *` bound before __all__ was written out,
-# but the submodules
+# but the submodules and the since-deleted MultiPoly and det_symbolic
 PUBLIC = {
     "CentralArrangement", "DFReport", "FlagIdealP1", "Flat", "GammaSample",
     "GridTooShortError", "InconclusiveError", "InputError", "KstabError",
-    "LctCertificate", "LinearForm", "MonomialIdeal", "MultiPoly",
+    "LctCertificate", "LinearForm", "MonomialIdeal",
     "NewtonPolyhedron", "PointDivisor", "SampleGrid", "SizeError",
     "SummationResult", "TildeFamily", "UniPoly", "Verdict",
-    "WeightedIdealProduct", "braid_arrangement", "classify", "det_symbolic",
+    "WeightedIdealProduct", "braid_arrangement", "classify",
     "diagonal_discrepancy", "donaldson_futaki", "gamma_at_k", "gamma_report",
     "intersection_lattice", "law_checks", "lct_braid", "lct_central",
     "lct_monomial", "multiplier_ideal", "newton_polyhedron", "rat", "rat_str",
@@ -65,7 +65,13 @@ def test_veronese_oracle_lives_in_verification():
     import kstab
     from kstab import gamma
 
-    assert kstab.MultiPoly.__module__ == "kstab.verification"
-    for name in ("MultiPoly", "det_symbolic", "vandermonde_product",
-                 "veronese_determinant", "MAX_K_SYMBOLIC", "MAX_DET_SIZE"):
+    assert kstab.veronese_determinant.__module__ == "kstab.verification"
+    assert kstab.vandermonde_product.__module__ == "kstab.verification"
+    for name in ("vandermonde_product", "veronese_determinant",
+                 "MAX_K_SYMBOLIC", "MAX_DET_SIZE"):
         assert not hasattr(gamma, name), name
+    # C04 expands both sides as plain dicts: the polynomial algebra and
+    # the general determinant it once used are gone
+    for name in ("MultiPoly", "det_symbolic"):
+        assert not hasattr(kstab, name), name
+        assert not hasattr(kstab.verification, name), name
