@@ -29,15 +29,27 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
+def _unique_keys(pairs):
+    """An object's dict; a key it repeats would silently drop a value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_json_file(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, non-UTF-8 bytes, oversized integers
+    # bad JSON, non-UTF-8 bytes, oversized integers, repeated keys, nesting
+    # past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -72,8 +84,8 @@ def cmd_lct_arrangement(args):
 
 
 def cmd_gamma(args):
-    if args.k is None and args.k_max is None:
-        raise InputError("pass --k or --k-max")
+    if (args.k is None) == (args.k_max is None):
+        raise InputError("pass one of --k and --k-max")
     if args.k is not None:
         return gamma_at_k(args.k).to_json()
     return gamma_report_json(args.k_max)

@@ -559,15 +559,11 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     - That RHS(D) lies in the LHS is checked at every D; a monomial
       of RHS(D) outside the LHS is a proven mismatch at that D.
     - So RHS(D) = LHS is equality, and the first such D is the
-      witness.  The sweep returns there without building RHS(2D): it
-      holds RHS(D), and it lies in the LHS by the easy inclusion of
-      the formula, so it could only be the same ideal again.
-    The witness is returned only where the refinement 2D is within the
-    sweep's limits, read without sweeping it: 2D <= denom_bound, and
-    its C(c * 2D + l - 1, l - 1) splittings within MAX_SPLITS.  So the
-    sweep stops where it did when it built RHS(2D) to confirm: past
-    denom_bound it raises InconclusiveError, which is distinct from a
-    mismatch, and past MAX_SPLITS, SizeError.
+      witness: the sweep returns there.
+    A sweep that reaches no such D up to denom_bound raises
+    InconclusiveError, which is distinct from a mismatch.  A D whose
+    C(c * D + l - 1, l - 1) splittings pass MAX_SPLITS raises
+    SizeError before any of them is swept.
 
     Only the new splittings of a refinement are swept.  A splitting m
     of c * 2D units whose entries are all even has c_i = m_i / (2D) =
@@ -590,42 +586,25 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
 
     total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
-
-    def units_at(D):
-        """c * D, the units of 1/D that c splits into; SizeError when
-        their splittings among the parts pass MAX_SPLITS."""
+    D, rhs = c.denominator, None
+    while D <= denom_bound:
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
         units = c.numerator * D // c.denominator
         if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
             raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
-        return units
-
-    def rhs_at(D, prev):
-        """The RHS at D, given prev, the RHS at D / 2 (None at the first D)."""
-        gens = [] if prev is None else list(prev.generators)
-        for split in _compositions(units_at(D), len(parts)):
-            if prev is not None and not any(m % 2 for m in split):
+        gens = [] if rhs is None else list(rhs.generators)
+        for split in _compositions(units, len(parts)):
+            if rhs is not None and not any(m % 2 for m in split):
                 continue  # the splitting split / 2 at D / 2
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]
             gens.extend(multiplier_ideal(factors).generators)
-        return MonomialIdeal(arity, gens)
-
-    D = c.denominator
-    prev = None
-    while D <= denom_bound:
-        cur = rhs_at(D, prev)
-        if not cur.issubset(lhs):
+        rhs = MonomialIdeal(arity, gens)
+        if rhs == lhs or not rhs.issubset(lhs):
             return SummationResult(
-                equal=False, witness_denominator=D, lhs=lhs, rhs=cur
+                equal=rhs == lhs, witness_denominator=D, lhs=lhs, rhs=rhs
             )
-        if cur == lhs and 2 * D <= denom_bound:
-            units_at(2 * D)  # past MAX_SPLITS, raise as building RHS(2D) would
-            return SummationResult(
-                equal=True, witness_denominator=D, lhs=lhs, rhs=cur
-            )
-        prev = cur
         D *= 2
     raise InconclusiveError(
         f"splitting sum did not stabilize with denominators up to {denom_bound}"

@@ -223,8 +223,8 @@ def check_weight_sign_and_fit(quick=False, seed=42, **_):
         for k, w in report.k_grid.entries:
             if w > 0:
                 return False, f"positive weight at flag #{idx}, k = {k}"
-        if report.w_poly.degree > 2:
-            return False, f"fit degree {report.w_poly.degree} at flag #{idx}"
+            if k >= report.onset_k and report.w_poly(k) != w:
+                return False, f"w_poly misses w({k}) at flag #{idx}"
     return True, f"w <= 0 and degree <= 2 fit on {len(corpus)} flags"
 
 

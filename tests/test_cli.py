@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from kstab import (
     GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat, verification,
 )
 from kstab.cli import main
-from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, flag_from_json
+from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, UniPoly, flag_from_json
 from kstab.monomials import MAX_HULL_CANDIDATES
 
 KSTAB = [sys.executable, "-m", "kstab"]
@@ -116,6 +117,11 @@ def test_gamma_report():
 def test_gamma_bad_k():
     assert run_cli("gamma-p1", "--k", "0").returncode == 2
     assert run_cli("gamma-p1").returncode == 2
+    # both once printed the k = 2 sample with exit 0, --k-max unread
+    proc = run_cli("gamma-p1", "--k", "2", "--k-max", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "input error: pass one of --k and --k-max\n"
+    )
 
 
 def test_gamma_k_is_capped_only_by_lct_braid():
@@ -408,6 +414,11 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
 # at D = 2 needs 63,504 box prefixes: it exited 3 on the scan cap while
 # the sweep built RHS(2D) to confirm RHS(D) = LHS, and answers since the
 # sweep accepts at the first refinement equal to the LHS.
+# equal_at_the_bound.json (recorded as inconclusive.json) equals at D = 1
+# with denom_bound 1: it exited 3 while an answer also needed 2D within
+# the bound, and answers since the sweep stops at its first proof.  The
+# inconclusive.json of today is stalled.json with denom_bound 2, which
+# has proven neither answer at D = 2.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 
@@ -507,6 +518,33 @@ def test_verify_reports_a_wrong_determinant_as_c04_fail(monkeypatch, capsys):
     assert code == 1 and card["all_pass"] is False
     assert [c["id"] for c in card["criteria"] if not c["pass"]] == ["C04-vandermonde"]
     assert "C04-vandermonde: FAIL (" in out.err
+
+
+def test_verify_reports_a_wrong_constant_term_as_c06_fail(monkeypatch, capsys):
+    # C06 evaluates each report's w_poly at the grid's k from onset_k on,
+    # so a constant term off by one is a failing criterion
+    real = verification._df_corpus_reports
+
+    def off_by_one(seed, quick):
+        corpus, reports = real(seed, quick)
+        return corpus, [
+            replace(r, w_poly=UniPoly([r.w_poly.coeff(0) + 1, *r.w_poly.coeffs[1:]]))
+            for r in reports
+        ]
+
+    monkeypatch.setattr(verification, "_df_corpus_reports", off_by_one)
+    k = real(42, True)[1][0].onset_k
+    assert verification.check_weight_sign_and_fit(quick=True) == (
+        False, f"w_poly misses w({k}) at flag #0"
+    )
+    code = main(["verify", "--quick"])
+    out = capsys.readouterr()
+    card = json.loads(out.out)
+    assert code == 1 and card["all_pass"] is False
+    assert [c["id"] for c in card["criteria"] if not c["pass"]] == [
+        "C06-weight-sign-polynomiality"
+    ]
+    assert "C06-weight-sign-polynomiality: FAIL (" in out.err
 
 
 # lct-braid and gamma-p1 at fixed arguments, and the stdout, stderr and
@@ -627,6 +665,37 @@ def test_oversized_input_is_a_limit(tmp_path, case):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("limit reached:")
+    assert "Traceback" not in proc.stderr
+
+
+# nesting past the recursion limit once printed a RecursionError traceback
+# with exit 1, and a repeated key once kept its last value with exit 0:
+# {"p": 1, "p": 2} was a point of multiplicity 2
+UNPARSABLE = {
+    "df-deep": ("df", "[" * 100000, "maximum recursion depth exceeded"),
+    "df-repeated-key": (
+        "df", '{"divisors": [{"p": 1, "p": 2}]}', "repeated key 'p'"
+    ),
+    "summation-deep": ("check-summation", "[" * 100000, "maximum recursion depth"),
+    "summation-repeated-key": (
+        "check-summation",
+        '{"a0": {"n": 1, "generators": [[0]]}, '
+        '"parts": [{"n": 1, "generators": [[1]]}], "c": 1, "c": 2}',
+        "repeated key 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE))
+def test_unparsable_json_is_an_input_error(tmp_path, case):
+    command, text, reason = UNPARSABLE[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    option = "--flag" if command == "df" else "--file"
+    proc = run_cli(command, option, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: malformed JSON in {path}: {reason}")
     assert "Traceback" not in proc.stderr
 
 

@@ -572,6 +572,8 @@ def test_lct_is_the_triviality_threshold():
 # ---------------------------------------------------------------------------
 # the summation formula
 
+SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
+
 
 def test_summation_maximal_ideal_square():
     result = summation_check(
@@ -683,26 +685,47 @@ def test_summation_sweeps_only_the_new_splittings(monkeypatch):
     assert {1, 2, 4} <= witnesses and first > 20
 
 
-def test_summation_accept_guards_read_the_refinement_without_sweeping_it(
-    monkeypatch,
-):
-    # unit = J((x, y)^1) = J((x, y)^1 (x, y)^0) at D = 1; D = 1 has 2
-    # splittings of c = 1 between two parts, and 2D = 2 has 3
+def test_summation_stops_at_its_first_equal_refinement(monkeypatch):
+    # unit = J((x, y)^1) = J((x, y)^1 (x, y)^0) at D = 1, which has 2
+    # splittings of c = 1 between two parts; nothing of D = 2 is read,
+    # neither its 3 splittings against MAX_SPLITS nor denom_bound
     unit = MonomialIdeal.unit(2)
     calls = spy_on_multiplier_ideal(monkeypatch)
-    monkeypatch.setattr(monomials, "MAX_SPLITS", 3)
-    result = summation_check(unit, 0, [XY, XY], 1)
-    assert (result.equal, result.witness_denominator) == (True, 1)
-    assert result.lhs == result.rhs == unit
-    assert calls == [[1], [0, 1], [1, 0]]  # the LHS, then D = 1 only
     monkeypatch.setattr(monomials, "MAX_SPLITS", 2)
+    for bound in (1, 24):
+        calls.clear()
+        result = summation_check(unit, 0, [XY, XY], 1, denom_bound=bound)
+        assert (result.equal, result.witness_denominator) == (True, 1)
+        assert result.lhs == result.rhs == unit
+        assert calls == [[1], [0, 1], [1, 0]]  # the LHS, then D = 1 only
+    monkeypatch.setattr(monomials, "MAX_SPLITS", 1)
     with pytest.raises(SizeError) as info:
         summation_check(unit, 0, [XY, XY], 1)
-    assert str(info.value) == "more than 2 splittings at denominator 2"
-    monkeypatch.setattr(monomials, "MAX_SPLITS", 3)
-    assert summation_check(unit, 0, [XY, XY], 1, denom_bound=2).equal
-    with pytest.raises(InconclusiveError):
-        summation_check(unit, 0, [XY, XY], 1, denom_bound=1)
+    assert str(info.value) == "more than 1 splittings at denominator 1"
+
+
+def test_summation_answers_the_same_under_every_bound_past_its_witness():
+    # each checked-in instance that answers gives its answer under every
+    # denom_bound from its witness to 24, and none under a smaller one
+    expected = json.loads((SUMMATION_DATA / "expected.json").read_text())
+    witnesses = set()
+    for name in sorted(expected):
+        if expected[name]["json"]["exit"]:
+            continue
+        args = summation_from_json(json.loads((SUMMATION_DATA / name).read_text()))
+        args.pop("denom_bound", None)
+        answer = json.loads(expected[name]["json"]["stdout"])
+        witness = answer["witness_denominator"]
+        witnesses.add(witness)
+        for bound in range(witness, 25):
+            result = summation_check(**args, denom_bound=bound)
+            assert (result.equal, result.witness_denominator) == (
+                answer["equal"], witness
+            ), (name, bound)
+        for bound in range(1, witness):
+            with pytest.raises(InconclusiveError):
+                summation_check(**args, denom_bound=bound)
+    assert witnesses == {1, 2, 4}
 
 
 # An exact oracle for the summation formula over all real splittings
@@ -798,9 +821,6 @@ class RealSplittingRHS:
             for a, fixed, diffs in self.facets
         ]
         return fourier_motzkin(rows + self.simplex, self.k)
-
-
-SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 
 
 def test_fourier_motzkin_tracks_strict_rows():
@@ -922,8 +942,14 @@ def test_summation_reader_caps_the_listed_parts_before_building_any(monkeypatch)
 
 
 def test_summation_inconclusive_is_distinct_from_false():
-    with pytest.raises(InconclusiveError):
-        summation_check(MonomialIdeal.unit(2), 0, [XY, XY], 1, denom_bound=1)
+    # RHS(1) = RHS(2) = (x, y) lies strictly inside the unit LHS, which
+    # RHS(4) reaches: up to 2 the sweep proves neither answer
+    x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
+    with pytest.raises(InconclusiveError) as info:
+        summation_check(x, F(1, 2), [x, y], 1, denom_bound=2)
+    assert str(info.value) == (
+        "splitting sum did not stabilize with denominators up to 2"
+    )
 
 
 def test_summation_input_contracts():
