@@ -11,7 +11,7 @@ the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
 w_poly with its constant term.  One short min-plus sweep per point cost,
 kept in a bounded process-wide cache (_Point), serves every flag, s and
 k that reads the point, and the power-ideal divisors too: a part step
-convolves only the band of a row that a new part can change, and a
+is one (min,+) convolution of the row with the point's costs, and a
 point stops once its row certifies its own stretch.  Everything here is
 exact, and the escalation runs on integers over an exact common
 denominator: the closed form sums the envelopes scaled by the lcm of
@@ -21,6 +21,7 @@ built only on the one interval where s D^ crosses 2, for (w2, w1), and
 for the report of the accepted base.
 """
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ REFINE_MULTIPLIERS = (10, 12)
 # cap on the part count (k*s for weight, ks for tilde_divisors): escalation
 # at s = 1 reaches base 40 times refinement 12
 MAX_KS = 480
-# cap on the flag length M: the sweep's band and the envelope shortest
+# cap on the flag length M: each part step and the envelope shortest
 # paths grow with M, and escalation may walk every base
 MAX_M = 16
 # cap on the number of points: every part step and weight read walks
@@ -173,35 +174,14 @@ def _point_costs(flag):
 
 
 def _minplus_step(cost, row):
-    """One more part at one point, by (min,+) convolution with its costs.
-
-    If entry j of row is the cheapest way to write j as n parts in 0..M
-    priced by cost (cost[0] = 0), the returned row holds the same for
-    n + 1; n is read off the row length M*n + 1.  Two pigeonhole
-    arguments settle all but a band of the new row:
-
-    - j <= n: n + 1 parts summing to j include a zero part, which
-      costs nothing, so the entry is row[j] unchanged.
-    - j >= (M - 1)*n + M: the deficits M - t of the n + 1 parts sum to
-      M*(n + 1) - j <= n, so some part is M and the entry is
-      row[j - M] + cost[M].
-
-    Only j in [n + 1, (M - 1)*n + M) takes the minimum over every part
-    size, reading row[n + 1 - M : (M - 1)*n + M]; the band is
-    (M - 2)*n + O(M) wide, empty or one entry for M <= 2.
-    """
-    m = len(cost) - 1
-    n = (len(row) - 1) // m
-    lo, hi = n + 1, max(n + 1, (m - 1) * n + m)
-    # while n < m - 1 the band reads past both ends of the row
-    pad = max(0, m - 1 - n)
-    wide = [_INF] * pad + row + [_INF] * pad if pad else row
-    # cost[0] = 0: the zero part's term is the slice itself
-    band = map(min, wide[pad + lo:pad + hi], *(
-        [x + ct for x in wide[pad + lo - t:pad + hi - t]]
-        for t, ct in enumerate(cost[1:], 1)
-    ))
-    return row[:lo] + list(band) + [x + cost[m] for x in row[hi - m:]]
+    """One more part at one point: if entry j of row is the cheapest way
+    to write j as n parts in 0..M priced by cost (cost[0] = 0), the
+    returned row, min_t row[j - t] + cost[t], holds the same for n + 1."""
+    pad = [_INF] * (len(cost) - 1)
+    # cost[0] = 0: the zero part's term is the row itself
+    return list(map(min, row + pad, *(
+        pad[:t] + [x + c for x in row] + pad[t:] for t, c in enumerate(cost[1:], 1)
+    )))
 
 
 class _Point:
@@ -209,7 +189,7 @@ class _Point:
 
     The row at n parts depends on the costs (0, D_1(p), ..., D_M(p)) alone,
     not on the label, the other points or s.  Rows are stepped in place,
-    each part once and by one thread at a time, until _certify passes the
+    each part once and under the point's lock, until _certify passes the
     row R at n0 parts; a row at n > n0 parts is R stretched by n - n0
     periods, built up to its first entry >= cap.  Rows handed out are shared
     and never mutated.  _point keeps the POINT_CACHE points read last, keyed
@@ -223,13 +203,16 @@ class _Point:
         self.segments = _envelope(cost)
         self.rows = [[0]]  # up to the certified R, the last once cuts is set
         self.cuts = None
+        self._lock = threading.Lock()
 
     def row(self, n, cap=_INF):
-        while self.cuts is None and len(self.rows) <= n:
-            stepped = _minplus_step(self.cost, self.rows[-1])
-            self.cuts = _certify(self.segments, self.rows[-1], stepped)
-            if self.cuts is None:
-                self.rows.append(stepped)
+        if self.cuts is None and len(self.rows) <= n:
+            with self._lock:
+                while self.cuts is None and len(self.rows) <= n:
+                    stepped = _minplus_step(self.cost, self.rows[-1])
+                    self.cuts = _certify(self.segments, self.rows[-1], stepped)
+                    if self.cuts is None:
+                        self.rows.append(stepped)
         if n < len(self.rows):
             return self.rows[n]
         return _stretch(self.rows[-1], self.cuts, n - len(self.rows) + 1, cap)

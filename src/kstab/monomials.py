@@ -14,11 +14,10 @@ last exponent of a member is a falling step function, read in closed
 form from one drop to the next, and the sweep emits the minimal
 generators already sorted.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
-formula over rational exponent splittings, where each refinement of
-the splitting grid sweeps only the splittings it adds, and the first
-refinement whose sum equals the left side is the witness: every
-refinement is checked to lie in the left side, so equality there is
-proven, and a further refinement could only rebuild the same ideal.
+formula over rational exponent splittings, where the first refinement
+of the splitting grid whose sum equals the left side is the witness:
+every refinement is checked to lie in the left side, so equality there
+is proven, and a further refinement could only rebuild the same ideal.
 The seeded law corpus that exercises it is verification.law_checks.
 An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
@@ -563,17 +562,10 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     A sweep that reaches no such D up to denom_bound raises
     InconclusiveError, which is distinct from a mismatch.  A D whose
     C(c * D + l - 1, l - 1) splittings pass MAX_SPLITS raises
-    SizeError before any of them is swept.
-
-    Only the new splittings of a refinement are swept.  A splitting m
-    of c * 2D units whose entries are all even has c_i = m_i / (2D) =
-    (m_i / 2) / D, so it is the splitting m / 2 at D, with the same
-    product and the same ideal; and every splitting at D arises so.
-    Hence the RHS at 2D is the RHS at D plus the ideals of the
-    splittings with an odd entry.  MAX_SPLITS still counts every
-    splitting at each D, so the cap trips at the same D as a full
-    sweep would.  The parts together may have at most MAX_GENERATORS
-    generators, checked before their sum is built.
+    SizeError before any of them is swept.  A splitting at 2D whose
+    entries are all even is one at D (Fraction(m, 2D) = Fraction(m / 2, D)),
+    so its multiplier_ideal is a cache hit.  The parts together may have
+    at most MAX_GENERATORS generators, checked before their sum is built.
     """
     c0, c = rat(c0), rat(c)
     integer("denom_bound", denom_bound)
@@ -586,16 +578,14 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
 
     total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
     lhs = multiplier_ideal([(a0, c0), (total, c)])
-    D, rhs = c.denominator, None
+    D = c.denominator
     while D <= denom_bound:
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
         units = c.numerator * D // c.denominator
         if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
             raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
-        gens = [] if rhs is None else list(rhs.generators)
+        gens = []
         for split in _compositions(units, len(parts)):
-            if rhs is not None and not any(m % 2 for m in split):
-                continue  # the splitting split / 2 at D / 2
             factors = [(a0, c0)] + [
                 (p, Fraction(m, D)) for p, m in zip(parts, split)
             ]

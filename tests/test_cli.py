@@ -249,7 +249,7 @@ def test_df_point_count_cap_exits_3(tmp_path):
 # Fixed flags (M = 1..4, one to three points, fat point 16 and a flag
 # that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
 # and exit code `kstab df --flag F --s S --format FMT` gave for them
-# before the min-plus step was restricted to its band (expected.json),
+# with the full min-plus convolution (expected.json),
 # and fat point 31, whose escalation walks every base at s = 1 and 1/2
 # before it exits 3, as the Fraction residuals gave it (expected_walk.json);
 # any change must reproduce them byte for byte.  Run in-process through

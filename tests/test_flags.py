@@ -10,6 +10,9 @@ the reference the escalation is compared against.
 
 import json
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
@@ -525,7 +528,7 @@ def test_flag_length_cap():
 
 
 # ---------------------------------------------------------------------------
-# the band step and the bounded read against their full forms
+# the part step and the bounded read against their full forms
 
 
 _INF = 1 << 62
@@ -561,7 +564,7 @@ def random_costs(rng, m):
     return cost
 
 
-def test_band_step_matches_the_full_convolution():
+def test_step_matches_the_oracle_convolution():
     rng = random.Random("band")
     for m in range(1, 7):
         fixed = [[0] * m + [3], [0] + [2] * m, [0, 1] + [5] * (m - 1)]
@@ -589,7 +592,7 @@ def test_weight_read_stops_at_the_crossing():
 
 
 # ---------------------------------------------------------------------------
-# the stretch against the band sweep
+# the stretch against the stepped sweep
 
 
 def stretch_costs(rng, m):
@@ -619,8 +622,8 @@ def stretch_corpus(seed, count):
         ), costs
 
 
-def band_weights(costs, s, bound):
-    """k -> w(k) for every k with k*s <= bound, from the band sweep."""
+def stepped_weights(costs, s, bound):
+    """k -> w(k) for every k with k*s <= bound, stepping every part."""
     rows, weights = [[0] for _ in costs], {}
     for n in range(1, bound + 1):
         rows = step_all(costs, rows)
@@ -634,14 +637,14 @@ def band_weights(costs, s, bound):
 STRETCH_BOUND = 60
 
 
-def test_stretch_matches_the_band_sweep():
+def test_stretch_matches_the_stepped_sweep():
     # every k up to k*s = 60, asked in increasing, random and repeated
     # order; every flag certifies by 40 parts, so the weights past that
     # are read off the stretch
     rng = random.Random("orders")
     for i, (flag, costs) in enumerate(stretch_corpus("stretch", 14)):
         s = F(1) if i % 2 else F(2, 3)
-        expected = band_weights(costs, s, STRETCH_BOUND)
+        expected = stepped_weights(costs, s, STRETCH_BOUND)
         ks = sorted(expected)
         shuffled = rng.sample(ks, len(ks))
         for order in (ks, shuffled, shuffled + rng.sample(ks, len(ks))):
@@ -700,7 +703,7 @@ def lift_one_period(row, cut):
 @pytest.mark.parametrize("mutate", [outside_run, lift_one_period])
 def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, mutate):
     # each point reads its rows off cuts mutated after they certified:
-    # (C) rejects every mutated cut, and the band sweep sees wrong weights
+    # (C) rejects every mutated cut, and the stepped sweep sees wrong weights
     certify = flags._certify
     caught = []
 
@@ -717,7 +720,7 @@ def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, muta
     monkeypatch.setattr(flags, "_certify", mutated)
     wrong = 0
     for flag, costs in stretch_corpus("mutations", 10):
-        expected = band_weights(costs, F(1), STRETCH_BOUND)
+        expected = stepped_weights(costs, F(1), STRETCH_BOUND)
         sweep = _Sweep(flag, 1)
         wrong += {k: sweep.weight(k) for k in expected} != expected
     assert len(caught) >= 9 and all(caught)
@@ -726,7 +729,7 @@ def test_stretch_mutations_fail_the_certificate_and_the_oracle(monkeypatch, muta
 
 
 def test_df_outputs_without_the_certificate(monkeypatch, capsys):
-    # rows that never certify are stepped as the band sweep always was
+    # rows that never certify are stepped at every part
     monkeypatch.setattr(flags, "_certify", lambda segments, row, stepped: None)
     data = Path(__file__).parent / "data" / "df"
     for name, by_s in [
@@ -752,9 +755,10 @@ def cap_size_flag():
 
 
 def test_cap_size_flag_takes_few_part_steps(monkeypatch):
-    # the band sweep alone took 276 part steps of all 8 rows to k*s = 276
-    # (base 23); each point now steps each part once, until it certifies
-    # (182 row steps in all, where the points stepped jointly took 280)
+    # a sweep without the certificate takes 276 part steps of all 8 rows
+    # to k*s = 276 (base 23); each point steps each part once, until it
+    # certifies (182 row steps in all, where the points stepped jointly
+    # took 280)
     steps = count_steps(monkeypatch)
     flag = cap_size_flag()
     assert (flag.M, len(flag.points())) == (16, 8)
@@ -774,7 +778,7 @@ def test_cap_size_flag_takes_few_part_steps(monkeypatch):
     assert len(steps) == len(set(steps)) <= 200
 
 
-def test_tilde_rows_match_the_band_sweep():
+def test_tilde_rows_match_the_stepped_sweep():
     # every ks <= 60 on seeded flags of length up to 16, each certified
     # by 40 parts, so most rows are read off the stretch (one sweep
     # asked in increasing order reads them as a fresh one does); the
@@ -795,9 +799,9 @@ def test_tilde_rows_match_the_band_sweep():
 
 @pytest.mark.parametrize("linear", [False, True], ids=["seeded", "linear"])
 def test_tilde_at_the_caps_takes_few_part_steps(monkeypatch, linear):
-    # the band sweep alone took all 480 part steps of the 8 rows; on the
-    # linear flag D_t(p_i) = (31 + 2i) t every split of j costs
-    # (31 + 2i) j at p_i; row steps: 182 seeded, 40 linear
+    # a sweep without the certificate takes all 480 part steps of the 8
+    # rows; on the linear flag D_t(p_i) = (31 + 2i) t every split of j
+    # costs (31 + 2i) j at p_i; row steps: 182 seeded, 40 linear
     steps = count_steps(monkeypatch)
     flag = FlagIdealP1([
         {f"p{i}": (31 + 2 * i) * t for i in range(8)} for t in range(1, 17)
@@ -1172,6 +1176,57 @@ def test_the_largest_measured_point_entry():
     assert [L for _, _, L, _ in point.segments] == [1] * 16
     assert certified_at(point) == 34
     assert sum(map(len, point.rows)) == sum(16 * n + 1 for n in range(35)) == 9555
+
+
+THREADED_FLAG = FlagIdealP1([{"p": 1, "q": 2}, {"p": 3, "q": 3}, {"p": 7, "q": 4},
+                             {"p": 9, "q": 8}])
+
+
+def read_in_threads(ks):
+    """Each of 4 threads' weights of THREADED_FLAG at ks, from a cold
+    cache, or the exception it raised."""
+    flags._point.cache_clear()
+    results = [None] * 4
+
+    def read(i):
+        try:
+            results[i] = [weight(THREADED_FLAG, k, 1) for k in ks]
+        except Exception as error:  # reported by the caller's comparison
+            results[i] = error
+
+    started = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    for thread in started:
+        thread.start()
+    for thread in started:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in started)
+    return results
+
+
+@pytest.mark.parametrize("preempt", ["slow-step", "switch-interval"])
+def test_threads_sharing_cold_points_read_right_weights(monkeypatch, preempt):
+    # four threads ask the same cold points for ever longer
+    # rows while another thread is mid-step, under a slowed step or a
+    # short switch interval; every thread must read what one thread reads
+    ks = range(1, 40)
+    expected = [weight(THREADED_FLAG, k, 1) for k in ks]
+    if preempt == "slow-step":
+        step = flags._minplus_step
+
+        def slow(cost, row):
+            time.sleep(0.0005)
+            return step(cost, row)
+
+        monkeypatch.setattr(flags, "_minplus_step", slow)
+        assert read_in_threads(ks) == [expected] * 4
+    else:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            wrong = sum(read_in_threads(ks) != [expected] * 4 for _ in range(100))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == 0
 
 
 def spy_weights(monkeypatch):

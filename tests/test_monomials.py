@@ -660,14 +660,13 @@ def spy_on_multiplier_ideal(monkeypatch):
     return calls
 
 
-def test_summation_sweeps_only_the_new_splittings(monkeypatch):
-    # the RHS at 2D reuses the RHS at D and adds the splittings with an
-    # odd entry; the reference sweeps them all, on the verify corpus and
-    # on the hand case that stalls at D = 1 and 2.  Every RHS(D) lies in
-    # the LHS, so RHS(D) = LHS is proven equality and the sweep stops
-    # there: no part weight, nor the LHS's c on the sum, has a
-    # denominator beyond the witness, and an instance equal at its first
-    # D sweeps nothing at 2D
+def test_summation_matches_the_reference_sweep(monkeypatch):
+    # against the reference, which confirms each answer at 2D, on the
+    # verify corpus and on the hand case that stalls at D = 1 and 2.
+    # Every RHS(D) lies in the LHS, so RHS(D) = LHS is proven equality
+    # and the sweep stops there: no part weight, nor the LHS's c on the
+    # sum, has a denominator beyond the witness, and an instance equal
+    # at its first D sweeps nothing at 2D
     calls = spy_on_multiplier_ideal(monkeypatch)
     x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
     instances = verification._random_summation_instances(7, 40)
@@ -683,6 +682,24 @@ def test_summation_sweeps_only_the_new_splittings(monkeypatch):
         witnesses.add(D)
         first += D == c.denominator
     assert {1, 2, 4} <= witnesses and first > 20
+
+
+def test_summation_computes_each_distinct_product_once(monkeypatch):
+    # a splitting at 2D whose entries are all even is the product of one
+    # at D, weights normalised, so over the C09 corpus every product
+    # summation_check asks for more than once is a _multiplier cache hit
+    products, real = [], monomials.multiplier_ideal
+
+    def spy(factors):
+        products.append(tuple(sorted((a.generators, w) for a, w in factors if w)))
+        return real(factors)
+
+    monkeypatch.setattr(monomials, "multiplier_ideal", spy)
+    monomials._multiplier.cache_clear()
+    for a0, c0, parts, c in verification._random_summation_instances(42, 25):
+        summation_check(a0, c0, parts, c)
+    assert len(products) > len(set(products))
+    assert monomials._multiplier.cache_info().misses == len(set(products))
 
 
 def test_summation_stops_at_its_first_equal_refinement(monkeypatch):
