@@ -6,8 +6,9 @@ a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
 of the weighted Minkowski sum of the Newton polyhedra.  A principal
 factor only translates that sum, so its facet normals depend only on
 which ideals with two or more generators carry a positive weight, and
-they are computed once per such support set, as is each ideal's
-least value on them; a facet offset is then an integer sum.  Scaled
+they are computed once per such support set, from only the coordinate
+projections with two or more minimal points, as is each ideal's least
+value on them; a facet offset is then an integer sum.  Scaled
 by the lcm of the weight denominators, the test runs in integers,
 swept line by line through a bounded box: along each line the least
 last exponent of a member is a falling step function, read in closed
@@ -28,15 +29,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from .errors import InconclusiveError, InputError, SizeError
 from .rationals import fields, integer, primitive, rat
 
 MAX_ARITY = 4
 MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
-# digits of the box's last side, the height no prefix cap counts: a
-# generator past Python's 4,300-digit int-to-string limit cannot be
-# printed, and 100 digits is the cap flags.MAX_S_DIGITS puts on s
+# digits of the box's last side, the height no prefix cap counts, and of a
+# printed prefix count: Python prints no int past 4,300 digits, and 100
+# digits is the cap flags.MAX_S_DIGITS puts on s
 MAX_HEIGHT_DIGITS = 100
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 MAX_HULL_CANDIDATES = 2 ** 16  # candidate normals one hull enumeration may try
@@ -211,14 +213,12 @@ class NewtonPolyhedron:
 
 
 def _cross(vectors):
-    """Integer vector orthogonal to d - 1 vectors in Z^d.
+    """Integer vector orthogonal to d - 1 vectors in Z^d, d >= 2.
 
     Entry i is (-1)^i times the minor without column i, so that
     det([r] + vectors) = <r, _cross(vectors)> for every row r.
     """
     d = len(vectors) + 1
-    if d == 1:
-        return (1,)
     if d == 2:
         ((u, v),) = vectors
         return (v, -u)
@@ -251,34 +251,47 @@ def hull_inequalities(points, n):
     and that value is positive.  The candidates number
     sum_F C(|proj_F|, |F|); more than MAX_HULL_CANDIDATES of them
     raise SizeError before any is tried.
+
+    A free set F with one minimal projection is not built: for |F| >= 2
+    it adds C(1, |F|) = 0 candidates.  It has one exactly when a point
+    equals the column minima `least` on F, as that point's projection
+    is <= every other, and a lone minimal one is <= all.  For |F| = 1
+    the facet is (e_i, min_p p_i) if that is positive, one candidate.
+    So n plus the sum over the built F is the sum over every F.
     """
     if not points:
         raise InputError("hull needs at least one point")
+    least = [min(col) for col in zip(*points)]
+    facets = {  # |F| = 1 in closed form
+        (tuple(int(j == i) for j in range(n)), m) for i, m in enumerate(least) if m > 0
+    }
     projections = [
         (free, _minimalize(tuple(p[i] for i in free) for p in points))
-        for d in range(1, n + 1)
+        for d in range(2, n + 1)
         for free in combinations(range(n), d)
+        if not any(all(p[i] == least[i] for i in free) for p in points)
     ]
-    candidates = sum(math.comb(len(proj), len(free)) for free, proj in projections)
+    candidates = n + sum(math.comb(len(proj), len(free)) for free, proj in projections)
     if candidates > MAX_HULL_CANDIDATES:
         raise SizeError(
             f"hull enumeration capped at {MAX_HULL_CANDIDATES} candidate normals "
             f"(these points need {candidates})"
         )
-    facets = set()
     for free, proj in projections:
-        low = {}  # candidate normal on F -> least value over the points
+        # candidate normal -> least value; a repeated normal is still tested,
+        # as a parallel subset may be the tight one
+        bottom = {}
         for base, *rest in combinations(proj, len(free)):
-            normal = _cross([tuple(a - b for a, b in zip(p, base)) for p in rest])
-            if not (all(x > 0 for x in normal) or all(x < 0 for x in normal)):
+            normal = _cross([[a - b for a, b in zip(p, base)] for p in rest])
+            if normal[0] < 0:
+                normal = [-x for x in normal]
+            if min(normal) <= 0:  # an entry is zero, or the signs differ
                 continue
             normal = primitive(normal)
-            b = low.get(normal)
+            b = bottom.get(normal)
             if b is None:
-                b = low[normal] = min(
-                    sum(x * y for x, y in zip(normal, p)) for p in proj
-                )
-            if b > 0 and sum(x * y for x, y in zip(normal, base)) == b:
+                b = bottom[normal] = min(sum(map(mul, normal, p)) for p in proj)
+            if b > 0 and sum(map(mul, normal, base)) == b:
                 lift = dict(zip(free, normal))
                 facets.add((tuple(lift.get(i, 0) for i in range(n)), b))
     return tuple(sorted(facets))
@@ -428,7 +441,7 @@ def multiplier_ideal(prod):
 def _minima(gens, supports, n):
     """min <a, g> over gens for each normal a of _support_normals(supports, n)."""
     return tuple(
-        min(sum(x * y for x, y in zip(a, g)) for g in gens)
+        min(sum(map(mul, a, g)) for g in gens)
         for a in _support_normals(supports, n)
     )
 
@@ -451,6 +464,8 @@ def _multiplier(key, n):
     ]
     prefixes = math.prod(c + 1 for c in corner[:-1])
     if prefixes > MAX_SCAN_PREFIXES:
+        if prefixes >= 10**MAX_HEIGHT_DIGITS:
+            prefixes = f"a count of more than {MAX_HEIGHT_DIGITS} digits"
         raise SizeError(
             f"multiplier-ideal scan capped at {MAX_SCAN_PREFIXES} prefixes "
             f"(this product needs {prefixes})"
@@ -480,7 +495,7 @@ def _multiplier(key, n):
         xs, hs = lines[u] = [], []
         lo, floor, moving = 0, 0, []
         for a, an, t in flat + last:
-            r = t - sum(x * y for x, y in zip(a, u))  # zip stops before a_x
+            r = t - sum(map(mul, a, u))  # map stops before a_x
             ax = a[-1]
             if an and ax:
                 moving.append((ax, an, r))

@@ -374,6 +374,29 @@ def test_check_summation_scan_cap_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_check_summation_scan_cap_past_printable_counts_exits_3(tmp_path, capsys):
+    # the box has (d + 2)^2 prefixes, over 8,000 digits: more than Python
+    # prints, so the message gives the count's length, not the count
+    d = 10**4000
+    path = tmp_path / "huger.json"
+    path.write_text(
+        json.dumps(
+            {
+                "a0": {"n": 3, "generators": [[0, 0, 0]]},
+                "parts": [{"n": 3, "generators": [[d, 0, 0], [0, d, 0], [0, 0, 1]]}],
+                "c": 1,
+            }
+        )
+    )
+    code = main(["check-summation", "--file", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err == (
+        "limit reached: multiplier-ideal scan capped at 50000 prefixes "
+        "(this product needs a count of more than 100 digits)\n"
+    )
+
+
 def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
     # a0 is the 84 monomials of degree 6 in 4 variables: its hull with
     # the part would try about 1.9 million candidate normals

@@ -255,6 +255,87 @@ def test_projected_kernel_matches_full_search():
         assert hull_inequalities(points, n) == reference_hull(points, n), points
 
 
+def diagonal_sum(rng, n):
+    """A Minkowski sum of one or two diag-type sets, translated or not, cut
+    to at most 10 points.  A diag-type set is the points t * a_i * e_i and
+    up to two points inside their box; its point on axis j is 0 on every
+    free set without j, so most free sets have a point at the column minima."""
+    points = [tuple(rng.randint(0, 2) for _ in range(n))]
+    for _ in range(rng.randint(1, 2)):
+        t, a = rng.randint(1, 3), [rng.randint(1, 4) for _ in range(n)]
+        part = [tuple(t * a[j] * (j == i) for j in range(n)) for i in range(n)]
+        part += [
+            tuple(rng.randint(0, t * x) for x in a) for _ in range(rng.randint(0, 2))
+        ]
+        points = [tuple(map(sum, zip(p, q))) for p in points for q in part]
+    rng.shuffle(points)
+    return points[:10]
+
+
+def minimal_projections(points, free):
+    proj = {tuple(p[i] for i in free) for p in points}
+    return [
+        q
+        for q in proj
+        if not any(r != q and all(x <= y for x, y in zip(r, q)) for r in proj)
+    ]
+
+
+def every_free_set(n):
+    return [free for d in range(1, n + 1) for free in combinations(range(n), d)]
+
+
+def test_hull_matches_full_search_on_diagonal_sums():
+    rng = random.Random("diagonal-sums")
+    one = many = 0  # free sets of size >= 2 with one / several minimal points
+    for i in range(300):
+        n = 2 + i % 3
+        points = diagonal_sum(rng, n)
+        assert hull_inequalities(points, n) == reference_hull(points, n), points
+        for free in every_free_set(n)[n:]:
+            if len(minimal_projections(points, free)) == 1:
+                one += 1
+            else:
+                many += 1
+    # the corpus exercises both the skipped and the built projections
+    assert one > 300 and many > 300, (one, many)
+
+
+def test_hull_count_covers_every_free_set(monkeypatch):
+    # the cap counts C(|minimal projections|, |F|) over every free set F,
+    # those with one minimal projection (C(1, |F|) = 0 for |F| >= 2) too
+    rng = random.Random("hull-count")
+    for i in range(60):
+        n = 2 + i % 3
+        points = diagonal_sum(rng, n)
+        count = sum(
+            math.comb(len(minimal_projections(points, free)), len(free))
+            for free in every_free_set(n)
+        )
+        monkeypatch.setattr(monomials, "MAX_HULL_CANDIDATES", count)
+        hull_inequalities(points, n)
+        monkeypatch.setattr(monomials, "MAX_HULL_CANDIDATES", count - 1)
+        with pytest.raises(SizeError, match=f"\\(these points need {count}\\)$"):
+            hull_inequalities(points, n)
+
+
+def test_hull_projects_only_where_two_points_are_minimal(monkeypatch):
+    # each proper free set holds a point that is 0 on it, so only the
+    # full free set is projected; its facet is x/2 + y + z + w >= 1
+    built = []
+
+    def spy(gens):
+        gens = tuple(gens)
+        built.append(gens)
+        return minimalize(gens)
+
+    minimalize = monomials._minimalize
+    monkeypatch.setattr(monomials, "_minimalize", spy)
+    points = [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert hull_inequalities(points, 4) == (((1, 2, 2, 2), 2),)
+    assert built == [tuple(points)]
+
+
 # ---------------------------------------------------------------------------
 # multiplier ideals
 
@@ -407,6 +488,18 @@ def test_scan_cap_bounds_the_box():
         multiplier_ideal([(ideal, F(2)), (x, F(1))])
     assert str(info.value) == (
         "multiplier-ideal scan capped at 50000 prefixes (this product needs 50001)"
+    )
+
+
+def test_scan_cap_message_past_printable_counts():
+    # 10**5000 + 2 prefixes: past Python's 4,300-digit int-to-string
+    # limit, so the message gives the count's length, not the count
+    huge = MonomialIdeal(2, [(10**5000, 0), (0, 1)])
+    with pytest.raises(SizeError) as info:
+        multiplier_ideal([(huge, F(1))])
+    assert str(info.value) == (
+        "multiplier-ideal scan capped at 50000 prefixes "
+        "(this product needs a count of more than 100 digits)"
     )
 
 
