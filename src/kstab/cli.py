@@ -3,11 +3,13 @@
 Every computation is exposed with JSON output (rationals as "p/q"
 strings).  Each subcommand returns its payload; main renders it and
 picks the exit code: 0 success, 1 a failing verify criterion, 2 input
-error, 3 resource or stabilization limit.
+error, 3 resource or stabilization limit, 141 (128 + SIGPIPE) a reader
+that closed stdout before the output was written.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .arrangements import arrangement_from_json, lct_braid, lct_central
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141
 
 
 def _unique_keys(pairs):
@@ -61,7 +64,7 @@ def _render_text(payload, prefix=""):
                 yield from _render_text(value, prefix + "  ")
             else:
                 yield f"{prefix}{key}: {value}"
-    elif isinstance(payload, list):
+    else:
         for value in payload:
             if isinstance(value, list) and not any(
                 isinstance(v, (dict, list)) for v in value
@@ -71,8 +74,6 @@ def _render_text(payload, prefix=""):
                 yield from _render_text(value, prefix + "  ")
             else:
                 yield f"{prefix}- {value}"
-    else:
-        yield f"{prefix}{payload}"
 
 
 def cmd_lct_braid(args):
@@ -172,11 +173,16 @@ def main(argv=None):
     except (SizeError, GridTooShortError, InconclusiveError) as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    if args.format == "text":
-        for line in _render_text(payload):
-            print(line)
-    else:
-        print(json.dumps(payload))
+    try:
+        if args.format == "text":
+            for line in _render_text(payload):
+                print(line)
+        else:
+            print(json.dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:  # fd 1 to /dev/null: the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     # only a verify scorecard with a failing criterion exits 1
     return EXIT_FAIL if payload.get("all_pass") is False else EXIT_OK
 

@@ -356,12 +356,11 @@ def _stretch(row, cuts, d, cap):
 def _total_weight(rows, N, size):
     """-sum_j min(N, deg_j), j < size, deg the column sum of nondecreasing rows.
 
-    Costs are nonnegative, so deg_j >= rows[p][j] for every point and
-    deg reaches N no later than the first row to reach it: the rows
-    are added only up to there, and may stop there.
+    Costs are nonnegative, so deg_j >= rows[p][j] for every point.  Each
+    row is whole or ends at or past its first entry >= N (_stretch), so
+    deg reaches N within the shortest row, if at all: the sum stops there.
     """
-    cut = min(bisect_left(row, N) for row in rows)
-    deg = rows[0][:cut]
+    deg = rows[0]
     for row in rows[1:]:
         deg = list(map(add, deg, row))
     cross = bisect_left(deg, N)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 
 from .errors import InconclusiveError, InputError, SizeError
 from .rationals import fields, integer, primitive, rat
@@ -332,6 +332,8 @@ def _support_normals(supports, n):
       the unit-weight sum, the hull of the sums of one generator per
       ideal.  (A repeated ideal adds nothing, as c * P + c' * P =
       (c + c') * P for convex P.)
+    - A dominated partial sum adds only dominated sums, and the hull drops
+      those, so only the partial sums that are extended are minimalized.
     - Each e_i is a facet normal of every conv(Q) + R^n_+: the face on
       which x_i is least holds a point p and the rays p + R_+ e_j,
       j != i, so it has dimension n - 1.
@@ -345,12 +347,9 @@ def _support_normals(supports, n):
     principal factors: a sum with one point translates every
     projection, and its minimal projections with it.
     """
-    points = {(0,) * n}
+    points = [(0,) * n]
     for gens in supports:
-        # dominated sums never support a facet
-        points = _minimalize(
-            tuple(x + y for x, y in zip(p, g)) for p in points for g in gens
-        )
+        points = [tuple(map(add, p, g)) for p in _minimalize(points) for g in gens]
     coordinate = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
     return coordinate + tuple(
         a for a, _ in hull_inequalities(points, n) if a.count(0) < n - 1
@@ -475,17 +474,17 @@ def _multiplier(key, n):
             f"multiplier-ideal box height capped at {MAX_HEIGHT_DIGITS} digits"
         )
 
-    flat, last = [], []
+    facets = []
     supports = tuple(sorted({gens for gens, _, _ in key if len(gens) > 1}))
     minima = [_minima(gens, supports, n) for gens, _, _ in key]
     for a, *mins in zip(_support_normals(supports, n), *minima):
         b = sum(w * m for w, m in zip(weights, mins))
         t = b // scale + 1 - sum(a)
         if t > 0:  # else <a, v> >= t holds on the whole orthant
-            (last if a[-1] else flat).append((a[:-1], a[-1], t))
+            facets.append((a[:-1], a[-1], t))
 
-    if n == 1:  # no prefix entries: the one generator is (h(),)
-        h = max([0] + [-(-t // an) for _, an, t in last])
+    if n == 1:  # no prefix entries, and a_1 > 0: the one generator is (h(),)
+        h = max([0] + [-(-t // an) for _, an, t in facets])
         return MonomialIdeal._minimal(1, ((h,),))
 
     top = corner[-2]
@@ -494,7 +493,7 @@ def _multiplier(key, n):
     for u in product(*(range(c + 1) for c in corner[:-2])):
         xs, hs = lines[u] = [], []
         lo, floor, moving = 0, 0, []
-        for a, an, t in flat + last:
+        for a, an, t in facets:
             r = t - sum(map(mul, a, u))  # map stops before a_x
             ax = a[-1]
             if an and ax:

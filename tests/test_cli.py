@@ -1,6 +1,7 @@
 """End-to-end CLI tests over the real entry point."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -597,6 +598,29 @@ def test_unknown_subcommand_rejected():
     assert run_cli("frobnicate").returncode == 2
 
 
+# a reader that left before the output was written, as `| head -n 1` may:
+# once a BrokenPipeError traceback with exit 1, which also means a failing
+# verify criterion; now 141, the status of a tool that SIGPIPE ended
+@pytest.mark.parametrize("args", [
+    ["lct-braid", "--g", "5"],
+    ["verify", "--quick"],
+    ["check-summation", "--file", str(SUMMATION_DATA / "arity3.json")],
+    ["lct-arrangement", "--file", str(ARR_DATA / "scaled_generic.json"),
+     "--format", "text"],
+], ids=["lct-braid", "verify", "check-summation", "lct-arrangement-text"])
+def test_a_closed_stdout_exits_141(args):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(KSTAB + args, stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # malformed input: typed errors, never a traceback
 
@@ -635,6 +659,23 @@ def test_malformed_json_is_an_input_error(tmp_path, case):
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error:")
     assert "Traceback" not in proc.stderr
+
+
+# the engine's own typed errors, past the reader's checks
+@pytest.mark.parametrize("doc,code,stderr", [
+    (
+        dict(SUMMATION, a0={"n": 5, "generators": [[0] * 5]},
+             parts=[{"n": 5, "generators": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]}]),
+        3,
+        "limit reached: multiplier ideals capped at arity 4\n",
+    ),
+    (dict(SUMMATION, c="-1"), 2, "input error: exponents must be >= 0\n"),
+], ids=["arity-5", "negative-c"])
+def test_check_summation_engine_errors(tmp_path, capsys, doc, code, stderr):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-summation", "--file", str(path)]) == code
+    assert capsys.readouterr() == ("", stderr)
 
 
 # oversized input: a limit with exit 3, never a traceback; each of these

@@ -13,6 +13,7 @@ import random
 import sys
 import threading
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
@@ -122,6 +123,8 @@ def test_flag_json():
         flag_from_json({"M": 3, "divisors": [{"p": 1}]})
     with pytest.raises(InputError):
         flag_from_json({"divisors": "nope"})
+    for flag in [flag] + random_flag_corpus("json", 5):
+        assert flag_from_json(flag.to_json()) == flag
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +581,9 @@ def test_step_matches_the_oracle_convolution():
 
 
 def test_weight_read_stops_at_the_crossing():
-    # N runs past the last column sum, where deg never reaches N
+    # N runs past the last column sum, where deg never reaches N; the rows
+    # are read whole, then each cut as _stretch cuts it, at or past its
+    # first entry >= N, so that they differ in length
     rng = random.Random("read")
     for points in (1, 1, 2, 3):
         m = rng.randint(1, 4)
@@ -586,9 +591,15 @@ def test_weight_read_stops_at_the_crossing():
         for rows in _oracle_minplus_power(costs, (1, 2, 5, 12)):
             top = max(map(sum, zip(*rows)))
             for N in range(1, top + 3):
-                assert flags._total_weight(rows, N, len(rows[0])) == -sum(
-                    min(N, sum(col)) for col in zip(*rows)
-                ), (costs, N)
+                expected = -sum(min(N, sum(col)) for col in zip(*rows))
+                cut = [
+                    row[:rng.randint(min(bisect_left(row, N) + 1, len(row)), len(row))]
+                    for row in rows
+                ]
+                for read in (rows, cut):
+                    assert flags._total_weight(read, N, len(rows[0])) == expected, (
+                        costs, N, read
+                    )
 
 
 # ---------------------------------------------------------------------------

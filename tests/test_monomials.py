@@ -23,6 +23,7 @@ from kstab import (
 from kstab import monomials, verification
 from kstab.errors import InconclusiveError
 from kstab.monomials import (
+    WeightedIdealProduct,
     _support_normals,
     hull_inequalities,
     ideal_from_json,
@@ -103,6 +104,46 @@ def test_generator_cap_bounds_an_ideal_document(monkeypatch):
     with pytest.raises(SizeError) as info:
         ideal_from_json({"n": 2, "generators": gens + [[1024, 0]]})
     assert str(info.value) == "ideal documents capped at 1024 generators (got 1025)"
+
+
+TYPED_ERRORS = {
+    "sum-of-two-arities": (
+        lambda: XY + MonomialIdeal.unit(3), InputError, "arity mismatch"
+    ),
+    "product-of-two-arities": (
+        lambda: XY * MonomialIdeal.unit(3), InputError, "arity mismatch"
+    ),
+    "negative-exponent": (
+        lambda: WeightedIdealProduct([(XY, -1)]), InputError, "exponents must be >= 0"
+    ),
+    "factors-of-two-arities": (
+        lambda: WeightedIdealProduct([(XY, 1), (MonomialIdeal.unit(3), 1)]),
+        InputError,
+        "all factors must share one arity",
+    ),
+    "arity-of-an-empty-product": (
+        lambda: WeightedIdealProduct([]).arity, InputError, "empty product has no arity"
+    ),
+    "hull-of-no-points": (
+        lambda: hull_inequalities([], 2), InputError, "hull needs at least one point"
+    ),
+    "multiplier-of-no-factors": (
+        lambda: multiplier_ideal([]), InputError, "product needs at least one factor"
+    ),
+    "multiplier-past-the-arity-cap": (
+        lambda: multiplier_ideal([(MonomialIdeal.principal((1,) * 5), 1)]),
+        SizeError,
+        "multiplier ideals capped at arity 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_typed_errors_name_what_they_refuse(case):
+    call, error, message = TYPED_ERRORS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_json_round_trip():
@@ -334,6 +375,37 @@ def test_hull_projects_only_where_two_points_are_minimal(monkeypatch):
     points = [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     assert hull_inequalities(points, 4) == (((1, 2, 2, 2), 2),)
     assert built == [tuple(points)]
+
+
+def test_hull_alone_drops_the_dominated_sums(monkeypatch):
+    # _support_normals minimalizes only the partial sums it extends and
+    # hands the whole sum to the hull, which minimalizes every projection:
+    # no _minimalize call takes a point set that an earlier one returned.
+    # The sum's (3, 3) is dominated, and no sum is (0, 0), so the hull
+    # projects onto the full free set.
+    returned, again = [], []
+
+    def spy(gens):
+        gens = tuple(gens)
+        if set(gens) in returned:
+            again.append(gens)
+        out = minimalize(gens)
+        returned.append(set(out))
+        return out
+
+    factors = [
+        (MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)]), F(1)),
+        (MonomialIdeal(2, [(2, 0), (0, 3)]), F(1, 2)),
+    ]
+    expected = box_scan(factors)
+    minimalize = monomials._minimalize
+    for name in ("_multiplier", "_support_normals", "_minima"):  # cold caches
+        fresh = lru_cache(maxsize=None)(getattr(monomials, name).__wrapped__)
+        monkeypatch.setattr(monomials, name, fresh)
+    monkeypatch.setattr(monomials, "_minimalize", spy)
+    assert multiplier_ideal(factors) == expected
+    assert {(0, 5), (1, 4), (2, 2), (3, 1), (5, 0)} in returned
+    assert again == []
 
 
 # ---------------------------------------------------------------------------
