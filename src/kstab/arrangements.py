@@ -3,12 +3,15 @@
 The lct at the origin of a reduced central arrangement is the
 minimum of rank/count over the intersection lattice (Mustata,
 "Multiplier ideals of hyperplane arrangements", Trans. AMS 2006).
-One exact engine enumerates that lattice for any arrangement, in
-integer arithmetic, with flats keyed by their member sets; a flat one
-rank below the whole arrangement is closed without residuals, since
-its only cover is the top.  lct_central takes the minimum by
-cross-multiplying integers.  Braid arrangements need no enumeration:
-their lct is the closed form 2/g, proved in lct_braid.
+One exact engine, _closed_ranks, enumerates that lattice for any
+arrangement, in integer arithmetic, as a map from each flat's closed
+member set to its rank; a flat one rank below the whole arrangement
+is closed without residuals, since its only cover is the top, and its
+one join is counted where the flat is found.  intersection_lattice
+builds the sorted Flats from that map; lct_central reads it in place,
+takes the minimum by cross-multiplying integers and builds Flats only
+for the minimizers.  Braid arrangements need no enumeration: their
+lct is the closed form 2/g, proved in lct_braid.
 """
 
 from dataclasses import dataclass
@@ -113,7 +116,22 @@ class LctCertificate:
 
 def intersection_lattice(arr):
     """All flats of the arrangement, ambient space excluded, sorted by
-    rank, then count, then members.
+    rank, then count, then members: the flats of _closed_ranks(arr).
+    """
+    return _sorted_flats(_closed_ranks(arr).items())
+
+
+def _sorted_flats(pairs):
+    """Flats of (member set, rank) pairs, sorted by rank, then count,
+    then members."""
+    flats = [Flat(member_indices=members, rank=rk) for members, rk in pairs]
+    flats.sort(key=lambda f: (f.rank, f.count, f.member_indices))
+    return flats
+
+
+def _closed_ranks(arr):
+    """The map {closed member set: rank} of every flat, ambient space
+    excluded.
 
     Closure by joins, with each flat keyed by its closed member set.
     Every form is read as its primitive integer row,
@@ -129,7 +147,8 @@ def intersection_lattice(arr):
     s by one fraction-free step, r[p] * s - s[p] * r at r's first
     nonzero column p, divided by its gcd; none of these vanish, since
     only the class of r joins.  Every join counts as one candidate;
-    more than MAX_CANDIDATES of them raise SizeError.
+    more than MAX_CANDIDATES of them raise SizeError, checked after
+    each flat's classes are joined.
 
     The penultimate rank needs no residuals.  Let R be the rank of the
     whole arrangement, the dimension of the span V of all the forms,
@@ -141,19 +160,17 @@ def intersection_lattice(arr):
     non-member gives the same join, that join holds every form, so it
     is the top, and it covers X.  So R is learnt, with no separate
     elimination, at the first flat whose residuals fall into one
-    class, and from then on a flat of rank R - 1 is given its one
-    class, all its non-members, without computing a residual.  The
-    key of that class is never read, since its join is the top, which
-    has no non-members to reduce.  Either way such a flat yields one
-    class and so one examined candidate, so the count of candidates,
-    and with it where MAX_CANDIDATES trips, is unchanged.  R is the
-    rank of the top, not ambient_dim: a non-essential arrangement has
-    R < ambient_dim.
+    class, and from then on a flat of rank R - 1 is not kept to be
+    joined: its one join, to the top, is counted as one examined
+    candidate where the flat is found.  The flat that taught R is kept
+    with its one class, so its join records the top.  The count of
+    candidates, and with it where MAX_CANDIDATES trips, is that of the
+    full residual enumeration.  R is the rank of the top, not
+    ambient_dim: a non-essential arrangement has R < ambient_dim.
     """
     ambient = {}
     for i, f in enumerate(arr.forms):
         ambient.setdefault(f.coefficients, []).append(i)
-    everything = frozenset(range(len(arr.forms)))
 
     ranks = {}
     top = None  # R, the rank of the top, once a flat has one class
@@ -161,13 +178,8 @@ def intersection_lattice(arr):
     examined = 0
     while stack:
         members, rank, classes = stack.pop()
+        examined += len(classes)
         for r, joined in classes.items():
-            examined += 1
-            if examined > MAX_CANDIDATES:
-                raise SizeError(
-                    f"intersection lattice exceeds {MAX_CANDIDATES} "
-                    "candidate subspaces"
-                )
             closed = members.union(joined)
             if closed in ranks:
                 continue
@@ -175,42 +187,48 @@ def intersection_lattice(arr):
             if rank + 1 == top:
                 continue  # the top: no non-members
             if rank + 2 == top:
-                # the one class of a penultimate flat joins to the top
-                stack.append((closed, rank + 1, {None: everything - closed}))
+                examined += 1  # a penultimate flat's one join, to the top
                 continue
-            p = next(k for k, x in enumerate(r) if x)
+            for p, lead in enumerate(r):
+                if lead:
+                    break
             residuals = {}
             for s, others in classes.items():
                 if s == r:
                     continue
                 if s[p]:
-                    s = primitive([r[p] * x - s[p] * y for x, y in zip(s, r)])
+                    s = primitive([lead * x - s[p] * y for x, y in zip(s, r)])
                 residuals.setdefault(s, []).extend(others)
             if len(residuals) == 1:
                 top = rank + 2
             stack.append((closed, rank + 1, residuals))
-
-    flats = [Flat(member_indices=members, rank=rk) for members, rk in ranks.items()]
-    flats.sort(key=lambda f: (f.rank, f.count, f.member_indices))
-    return flats
+        if examined > MAX_CANDIDATES:
+            raise SizeError(
+                f"intersection lattice exceeds {MAX_CANDIDATES} "
+                "candidate subspaces"
+            )
+    return ranks
 
 
 def lct_central(arr):
     """Minimum of rank/count over all flats, with all minimizers.
 
-    The minimum is taken over the distinct (rank, count) pairs and the
-    minimizers are selected by cross-multiplying, all in integers; the
-    lattice comes sorted, so the minimizers do too.  A reduced
-    arrangement always has a (1, 1) flat, so the minimum never
-    exceeds 1; starting from 1/1 keeps that cap as a hard guarantee.
+    The minimum is read off the (member set, rank) pairs of
+    _closed_ranks by cross-multiplying integers, and Flats are built
+    only for the minimizers, sorted as intersection_lattice sorts
+    them.  A reduced arrangement always has a (1, 1) flat, so the
+    minimum never exceeds 1; starting from 1/1 keeps that cap as a
+    hard guarantee.
     """
-    flats = intersection_lattice(arr)
+    ranks = _closed_ranks(arr)
     rank, count = 1, 1
-    for r, c in {(f.rank, f.count) for f in flats}:
-        if r * count < rank * c:
-            rank, count = r, c
-    minimizers = tuple(f for f in flats if f.rank * count == rank * f.count)
-    return LctCertificate(value=Fraction(rank, count), minimizers=minimizers)
+    for members, r in ranks.items():
+        if r * count < rank * len(members):
+            rank, count = r, len(members)
+    minimizers = _sorted_flats(
+        (members, r) for members, r in ranks.items() if r * count == rank * len(members)
+    )
+    return LctCertificate(value=Fraction(rank, count), minimizers=tuple(minimizers))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Every computation is exposed with JSON output (rationals as "p/q"
 strings).  Each subcommand returns its payload; main renders it and
 picks the exit code: 0 success, 1 a failing verify criterion, 2 input
 error, 3 resource or stabilization limit, 141 (128 + SIGPIPE) a reader
-that closed stdout before the output was written.
+that closed stdout before the output was written.  A reader that closed
+stderr changes neither the exit code nor stdout: the messages meant for
+it are dropped.
 """
 
 import argparse
@@ -54,6 +56,24 @@ def _read_json_file(path):
     # past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _to_devnull(stream):
+    """Point the stream's file descriptor at os.devnull, so that what it
+    still buffers, and the flush at exit, cannot raise again."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
+
+
+def _note(line):
+    """Write a line to stderr, which a closed reader may have left."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
 
 
 def _render_text(payload, prefix=""):
@@ -106,7 +126,7 @@ def cmd_verify(args):
     for cid, ok, detail, seconds in run_all(quick=args.quick, seed=args.seed):
         # timings go to stderr so the stdout scorecard stays
         # byte-identical across runs with the same seed
-        print(f"{cid}: {'PASS' if ok else 'FAIL'} ({seconds:.2f}s)", file=sys.stderr)
+        _note(f"{cid}: {'PASS' if ok else 'FAIL'} ({seconds:.2f}s)")
         results.append({"id": cid, "pass": ok, "detail": detail})
     return {
         "seed": args.seed,
@@ -168,10 +188,10 @@ def main(argv=None):
     try:
         payload = args.func(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _note(f"input error: {exc}")
         return EXIT_INPUT
     except (SizeError, GridTooShortError, InconclusiveError) as exc:
-        print(f"limit reached: {exc}", file=sys.stderr)
+        _note(f"limit reached: {exc}")
         return EXIT_LIMIT
     try:
         if args.format == "text":
@@ -180,8 +200,8 @@ def main(argv=None):
         else:
             print(json.dumps(payload))
         sys.stdout.flush()
-    except BrokenPipeError:  # fd 1 to /dev/null: the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:
+        _to_devnull(sys.stdout)
         return EXIT_PIPE
     # only a verify scorecard with a failing criterion exits 1
     return EXIT_FAIL if payload.get("all_pass") is False else EXIT_OK

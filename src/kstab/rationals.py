@@ -55,11 +55,22 @@ def rat_str(value) -> str:
 
 def primitive(row):
     """A nonzero integer row divided by the gcd of its entries, with
-    its first nonzero entry made positive."""
+    its first nonzero entry made positive, as a tuple.
+
+    The row must be nonzero, and no caller passes a zero row:
+    LinearForm rejects the zero form, a lattice residual is nonzero
+    (arrangements._closed_ranks), and the hull skips a normal with a
+    zero entry.
+    """
     divisor = gcd(*row)
-    if next(x for x in row if x) < 0:
+    for lead in row:
+        if lead:
+            break
+    if lead < 0:
         divisor = -divisor
-    return tuple(x // divisor for x in row)
+    if divisor == 1:
+        return tuple(row)
+    return tuple([x // divisor for x in row])
 
 
 def integer(name, value, least=1):

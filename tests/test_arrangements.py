@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -304,8 +304,15 @@ def test_lattice_size_abort(monkeypatch):
         (CentralArrangement(3, [[1, t, t * t] for t in range(8)]), 37, 92),
         (CentralArrangement(3, [[1, t, t * t] for t in range(6)]), 22, 51),
         (braid_arrangement(5), 51, 160),
+        (CentralArrangement(2, [[1, t] for t in range(5)]), 6, 10),
+        # rank 3 in 5 dimensions, with no zero coordinate
+        (
+            CentralArrangement(5, [[1, t, t * t, t + 1, t - 1] for t in range(7)]),
+            29,
+            70,
+        ),
     ],
-    ids=["moment-curve-8", "moment-curve-6", "braid-5"],
+    ids=["moment-curve-8", "moment-curve-6", "braid-5", "pencil-5", "rank-3-in-5"],
 )
 def test_candidate_count_is_pinned(monkeypatch, arr, flats, candidates):
     # the count of examined candidates decides where the cap trips;
@@ -318,6 +325,33 @@ def test_candidate_count_is_pinned(monkeypatch, arr, flats, candidates):
     assert str(err.value) == (
         f"intersection lattice exceeds {candidates - 1} candidate subspaces"
     )
+
+
+def _primitive_reference(row):
+    """The row scaled by Fractions to a leading 1, then by the lcm of
+    the denominators: the primitive row with a positive leading entry."""
+    lead = next(x for x in row if x)
+    scaled = [F(x, lead) for x in row]
+    scale = lcm(*(q.denominator for q in scaled))
+    return tuple(int(q * scale) for q in scaled)
+
+
+def test_primitive_matches_a_fraction_reference():
+    rng = random.Random("primitive")
+    rows = [[5], [-5], [1], [-1], [0, 0, -6, 4], [0, 3, 0], [12, -18, 30], [-7, 11]]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        zeros = rng.randint(0, n - 1)
+        lead = rng.choice((-1, 1)) * rng.randint(1, 40)
+        tail = [rng.randint(-40, 40) for _ in range(n - zeros - 1)]
+        row = [0] * zeros + [lead] + tail
+        scale = rng.choice((1, 1, 2, 3, 6, 35))
+        rows.append([x * scale for x in row])
+    for row in rows:
+        for given in (row, tuple(row)):
+            got = primitive(given)
+            assert got == _primitive_reference(row), row
+            assert type(got) is tuple and all(type(x) is int for x in got)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +410,39 @@ def test_braid_count_bound(g):
     # s(W) <= r(r+1)/2 for every braid flat
     for f in braid_flats(g):
         assert f.count <= f.rank * (f.rank + 1) // 2
+
+
+def _coefficient_arrangement(rng, n, m, lo, hi):
+    """m distinct hyperplanes with coefficients in [lo, hi]."""
+    forms = set()
+    while len(forms) < m:
+        row = [rng.randint(lo, hi) for _ in range(n)]
+        if any(row):
+            forms.add(LinearForm(row))
+    return CentralArrangement(n, sorted(forms, key=lambda f: f.coefficients))
+
+
+def _lct_corpus():
+    rng = random.Random("lct-central")
+    for n, m in [(3, 6), (3, 9), (3, 12), (4, 6), (4, 8), (5, 6), (5, 7)]:
+        for lo, hi in ((-5, 5), (-1, 1)):  # near-generic, then degenerate
+            yield _coefficient_arrangement(rng, n, m, lo, hi)
+    yield CentralArrangement(5, [[0, 1, t, 0, t * t] for t in range(6)])
+    for g in range(2, 7):
+        yield braid_arrangement(g)
+    yield CentralArrangement(3, [[1, 2, 3]])
+    yield CentralArrangement(2, [[1, t] for t in range(5)])
+
+
+def test_lct_central_is_the_minimum_over_the_lattice():
+    # lct_central reads the lattice's member sets without building the
+    # flats; its value and minimizers, in order, are the full lattice's
+    for arr in _lct_corpus():
+        flats = intersection_lattice(arr)
+        value = min(F(f.rank, f.count) for f in flats)
+        cert = lct_central(arr)
+        assert cert.value == value
+        assert cert.minimizers == tuple(f for f in flats if F(f.rank, f.count) == value)
 
 
 def test_lct_bounds_hold_generally():

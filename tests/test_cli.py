@@ -13,6 +13,7 @@ import pytest
 from kstab import (
     GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat, verification,
 )
+from kstab.arrangements import MAX_BRAID_G
 from kstab.cli import main
 from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, UniPoly, flag_from_json
 from kstab.monomials import MAX_HULL_CANDIDATES
@@ -619,6 +620,24 @@ def test_a_closed_stdout_exits_141(args):
     assert proc.returncode == 141, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+# a reader that closed stderr: its messages are dropped, and the exit code
+# and stdout are those of an open stderr (once exit 1 with nothing on stdout)
+@pytest.mark.parametrize("args,code,stdout", [
+    (["lct-braid", "--g", "0"], 2, ""),
+    (["lct-braid", "--g", str(MAX_BRAID_G + 1)], 3, ""),
+    (["verify", "--quick"], 0, (VERIFY_DATA / "quick.json").read_text()),
+], ids=["input-error", "limit", "verify"])
+def test_a_closed_stderr_keeps_exit_and_stdout(args, code, stdout):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(KSTAB + args, stdout=subprocess.PIPE, stderr=write,
+                              text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (code, stdout)
 
 
 # ---------------------------------------------------------------------------
