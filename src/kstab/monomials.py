@@ -2,24 +2,24 @@
 
 Multiplier ideals of monomial data have a purely combinatorial
 description: a monomial x^v belongs to the multiplier ideal of
-a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior
-of the weighted Minkowski sum of the Newton polyhedra.  A principal
-factor only translates that sum, so its facet normals depend only on
-which ideals with two or more generators carry a positive weight, and
-they are computed once per such support set, from only the coordinate
-projections with two or more minimal points, as is each ideal's least
-value on them; a facet offset is then an integer sum.  Scaled
-by the lcm of the weight denominators, the test runs in integers,
-swept line by line through a bounded box: along each line the least
-last exponent of a member is a falling step function, read in closed
-form from one drop to the next, and the sweep emits the minimal
-generators already sorted.  That makes this module an exact,
+a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior of
+the weighted Minkowski sum of the Newton polyhedra.  A principal factor
+only translates that sum, so its facet normals depend only on which
+ideals with two or more generators carry a positive weight, and they are
+computed once per such support set, from only the coordinate projections
+with two or more minimal points, as is each ideal's least value on them;
+a facet offset is then an integer sum.  Newton polyhedra and lct read
+the same cache.  Scaled by the lcm of the weight denominators, the test
+runs in integers, swept line by line through a bounded box: along each
+line the least last exponent of a member is a falling step function,
+read in closed form from one drop to the next, and the sweep emits the
+minimal generators already sorted.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
-formula over rational exponent splittings, where the first refinement
-of the splitting grid whose sum equals the left side is the witness:
-every refinement is checked to lie in the left side, so equality there
-is proven, and a further refinement could only rebuild the same ideal.
-The seeded law corpus that exercises it is verification.law_checks.
+formula over rational exponent splittings, where the first refinement of
+the splitting grid whose sum equals the left side is the witness: every
+refinement is checked to lie in the left side, so equality there is
+proven, and a further refinement could only rebuild the same ideal.  The
+seeded law corpus that exercises it is verification.law_checks.
 An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
 
@@ -233,11 +233,12 @@ def _cross(vectors):
 
 
 def hull_inequalities(points, n):
-    """Facets of conv(points) + orthant with positive offset.
+    """Facets of conv(points) + orthant whose normals have >= 2 nonzero entries.
 
     Points are integer vectors; each facet is a primitive integer pair
-    (normal, offset) meaning <normal, x> >= offset.  Coordinate bounds
-    x_i >= 0 are not included here.
+    (normal, offset), offset > 0, meaning <normal, x> >= offset.  The
+    coordinate facets are the engine's: each normal e_i of _support_normals
+    with its _minima offset.
 
     Such a facet's normal a is >= 0; let F = supp(a).  The facet holds
     the rays e_i for i outside F, so its points projected onto the
@@ -255,16 +256,13 @@ def hull_inequalities(points, n):
     A free set F with one minimal projection is not built: for |F| >= 2
     it adds C(1, |F|) = 0 candidates.  It has one exactly when a point
     equals the column minima `least` on F, as that point's projection
-    is <= every other, and a lone minimal one is <= all.  For |F| = 1
-    the facet is (e_i, min_p p_i) if that is positive, one candidate.
+    is <= every other, and a lone minimal one is <= all.  A free set {i}
+    counts one candidate; the engine reads its facet (e_i, min_p p_i).
     So n plus the sum over the built F is the sum over every F.
     """
     if not points:
         raise InputError("hull needs at least one point")
     least = [min(col) for col in zip(*points)]
-    facets = {  # |F| = 1 in closed form
-        (tuple(int(j == i) for j in range(n)), m) for i, m in enumerate(least) if m > 0
-    }
     projections = [
         (free, _minimalize(tuple(p[i] for i in free) for p in points))
         for d in range(2, n + 1)
@@ -277,6 +275,7 @@ def hull_inequalities(points, n):
             f"hull enumeration capped at {MAX_HULL_CANDIDATES} candidate normals "
             f"(these points need {candidates})"
         )
+    facets = set()
     for free, proj in projections:
         # candidate normal -> least value; a repeated normal is still tested,
         # as a parallel subset may be the tight one
@@ -298,15 +297,20 @@ def hull_inequalities(points, n):
 
 
 def newton_polyhedron(ideal):
-    """Exact H-representation of the Newton polyhedron of an ideal."""
+    """Exact H-representation of the Newton polyhedron of an ideal: the n
+    bounds (e_i, 0), then, sorted, the engine's facets with offset > 0.
+    Those are all the others: _support_normals gives every facet normal,
+    hull facets have offset > 0, (e_i, min_p p_i) is a facet beyond its
+    bound iff min_p p_i > 0, and _minima is the hull's tight minimum."""
     n = ideal.arity
     if n > MAX_ARITY:
         raise SizeError(f"Newton polyhedra capped at arity {MAX_ARITY}")
-    coordinate = tuple(
-        (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
-    )
-    facets = hull_inequalities(ideal.generators, n)
-    return NewtonPolyhedron(source=ideal, inequalities=coordinate + facets)
+    gens = ideal.generators
+    supports = (gens,) if len(gens) > 1 else ()
+    normals = _support_normals(supports, n)
+    facets = sorted(f for f in zip(normals, _minima(gens, supports, n)) if f[1] > 0)
+    bounds = tuple((a, 0) for a in normals[:n])
+    return NewtonPolyhedron(source=ideal, inequalities=bounds + tuple(facets))
 
 
 CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
@@ -316,7 +320,7 @@ CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
 def _support_normals(supports, n):
     """Facet normals of every sum sum_i c_i * P(a_i) + sum_j c_j * P(x^d_j)
     with all c_i, c_j > 0: the coordinate normals e_1..e_n, then the
-    hull normals with two or more nonzero entries.
+    normals of hull_inequalities, which have two or more nonzero entries.
 
     supports are the distinct generator tuples of the non-principal
     a_i (two or more generators each), sorted.
@@ -339,10 +343,9 @@ def _support_normals(supports, n):
       j != i, so it has dimension n - 1.
     - A facet normal a >= 0 with support F, |F| >= 2, has a positive
       offset: were it 0, its face would lie in {x >= 0 : x_F = 0}, of
-      dimension n - |F| < n - 1.  hull_inequalities lists every facet
-      with positive offset, so its normals with two or more nonzero
-      entries, with the e_i, are every facet normal of the sum,
-      wherever a translation puts it.
+      dimension n - |F| < n - 1.  hull_inequalities lists every such
+      facet, so its normals and the e_i are every facet normal of the
+      sum, wherever a translation puts it.
     The hull cap counts the same candidates as on the sum with its
     principal factors: a sum with one point translates every
     projection, and its minimal projections with it.
@@ -351,9 +354,7 @@ def _support_normals(supports, n):
     for gens in supports:
         points = [tuple(map(add, p, g)) for p in _minimalize(points) for g in gens]
     coordinate = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-    return coordinate + tuple(
-        a for a, _ in hull_inequalities(points, n) if a.count(0) < n - 1
-    )
+    return coordinate + tuple(a for a, _ in hull_inequalities(points, n))
 
 
 def multiplier_ideal(prod):
@@ -531,14 +532,12 @@ def _height_at(line, x):
 
 
 def lct_monomial(ideal):
-    """Largest c with (1,..,1) in c * P(ideal), by ratio minimization."""
+    """Largest c with (1,..,1) in c * P(ideal), by ratio minimization over
+    the facets of newton_polyhedron, which reads the cached engine."""
     if ideal.is_unit():
         raise InputError("lct undefined/infinite for the unit ideal")
-    ratios = [
-        Fraction(sum(normal), offset)
-        for normal, offset in newton_polyhedron(ideal).inequalities
-        if offset > 0
-    ]
+    inequalities = newton_polyhedron(ideal).inequalities
+    ratios = [Fraction(sum(a), b) for a, b in inequalities if b > 0]
     if not ratios:
         raise AssertionError("proper ideal must have a separating facet")
     return min(ratios)

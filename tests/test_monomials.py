@@ -203,8 +203,10 @@ def test_hull_candidate_cap(monkeypatch):
     x = MonomialIdeal.principal((1, 0, 2, 0))
     with pytest.raises(SizeError, match="capped at 65536 .*need 1929505\\)$"):
         multiplier_ideal([(ideal, 1), (x, F(1, 2))])
-    with pytest.raises(SizeError, match="capped at 65536"):
-        lct_monomial(ideal)
+    # the Newton polyhedron and lct read the same engine: the same count
+    for call in (newton_polyhedron, lct_monomial):
+        with pytest.raises(SizeError, match="capped at 65536 .*need 1929505\\)$"):
+            call(ideal)
 
 
 def test_hull_candidate_count(monkeypatch):
@@ -285,6 +287,21 @@ def reference_hull(points, n):
     )
 
 
+def hull_part_of_reference(points, n):
+    """reference_hull's facets whose normals have two or more nonzero
+    entries, the ones hull_inequalities lists.  The rest are checked
+    here: they are exactly (e_i, min_p p_i) for each positive minimum."""
+    reference = reference_hull(points, n)
+    hull = tuple(f for f in reference if f[0].count(0) < n - 1)
+    coordinate = {
+        (tuple(int(j == i) for j in range(n)), m)
+        for i, m in enumerate(map(min, zip(*points)))
+        if m > 0
+    }
+    assert set(reference) - set(hull) == coordinate, points
+    return hull
+
+
 def test_projected_kernel_matches_full_search():
     rng = random.Random("projected-kernel")
     for i in range(600):
@@ -293,7 +310,7 @@ def test_projected_kernel_matches_full_search():
             tuple(rng.randint(0, 6) for _ in range(n))
             for _ in range(rng.randint(1, 8))
         ]
-        assert hull_inequalities(points, n) == reference_hull(points, n), points
+        assert hull_inequalities(points, n) == hull_part_of_reference(points, n), points
 
 
 def diagonal_sum(rng, n):
@@ -332,7 +349,7 @@ def test_hull_matches_full_search_on_diagonal_sums():
     for i in range(300):
         n = 2 + i % 3
         points = diagonal_sum(rng, n)
-        assert hull_inequalities(points, n) == reference_hull(points, n), points
+        assert hull_inequalities(points, n) == hull_part_of_reference(points, n), points
         for free in every_free_set(n)[n:]:
             if len(minimal_projections(points, free)) == 1:
                 one += 1
@@ -406,6 +423,73 @@ def test_hull_alone_drops_the_dominated_sums(monkeypatch):
     assert multiplier_ideal(factors) == expected
     assert {(0, 5), (1, 4), (2, 2), (3, 1), (5, 0)} in returned
     assert again == []
+
+
+def coordinate_bounds(n):
+    return tuple((tuple(int(j == i) for j in range(n)), 0) for i in range(n))
+
+
+def test_newton_polyhedron_matches_full_search():
+    # the n bounds, then every facet of positive offset in sorted order;
+    # lct is the least sum(normal) / offset over those facets
+    rng = random.Random("newton-full-search")
+    ideals = [MonomialIdeal.unit(n) for n in range(1, 5)]
+    for i in range(240):
+        n = 1 + i % 4
+        kind = i // 4 % 3
+        if kind == 0:  # principal, some exponents 0
+            gens = [tuple(rng.randint(0, 3) for _ in range(n))]
+        elif kind == 1:  # on the coordinate axes, maybe with one more
+            gens = [
+                tuple(rng.randint(1, 6) * (j == k) for j in range(n))
+                for k in rng.sample(range(n), rng.randint(1, n))
+            ]
+            gens += [tuple(rng.randint(0, 4) for _ in range(n))][: rng.randint(0, 1)]
+        else:
+            gens = [
+                tuple(rng.randint(0, 6) for _ in range(n))
+                for _ in range(rng.randint(1, 7))
+            ]
+        ideals.append(MonomialIdeal(n, gens))
+    for a in ideals:
+        n = a.arity
+        reference = reference_hull(a.generators, n)
+        assert newton_polyhedron(a).inequalities == coordinate_bounds(n) + reference, a
+        if not a.is_unit():
+            assert lct_monomial(a) == min(F(sum(c), b) for c, b in reference), a
+    assert sum(len(a.generators) == 1 and not a.is_unit() for a in ideals) > 50
+
+
+def test_newton_polyhedron_and_lct_read_the_multiplier_engine(monkeypatch):
+    # after multiplier_ideal, the Newton polyhedron and lct of its ideal are
+    # cache hits on the engine: no hull is enumerated and no miss is added
+    a = MonomialIdeal(3, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
+    multiplier_ideal([(a, F(5, 3))])
+    caches = (monomials._support_normals, monomials._minima)
+    before = [cache.cache_info() for cache in caches]
+
+    def no_hull(points, n):
+        raise AssertionError("hull enumerated again")
+
+    monkeypatch.setattr(monomials, "hull_inequalities", no_hull)
+    poly = newton_polyhedron(a)
+    assert lct_monomial(a) == F(8, 9)  # (4, 3, 1) . x >= 9
+    for cache, info in zip(caches, before):
+        assert cache.cache_info().misses == info.misses
+        assert cache.cache_info().hits == info.hits + 2
+    monkeypatch.undo()
+    assert poly.inequalities == coordinate_bounds(3) + reference_hull(a.generators, 3)
+    # a principal ideal reads the supports (): one engine entry, which the
+    # principal product's multiplier ideal then hits
+    x = MonomialIdeal.principal((1, 0, 2))
+    monomials._support_normals.cache_clear()
+    assert newton_polyhedron(x).inequalities == coordinate_bounds(3) + (
+        ((0, 0, 1), 2),
+        ((1, 0, 0), 1),
+    )
+    assert monomials._support_normals.cache_info().currsize == 1
+    multiplier_ideal([(x, F(1, 2))])
+    assert monomials._support_normals.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
