@@ -6,14 +6,14 @@ a_1^{c_1}...a_l^{c_l} exactly when v + (1,..,1) lies in the interior of
 the weighted Minkowski sum of the Newton polyhedra.  A principal factor
 only translates that sum, so its facet normals depend only on which
 ideals with two or more generators carry a positive weight, and they are
-computed once per such support set, from only the coordinate projections
-with two or more minimal points, as is each ideal's least value on them;
-a facet offset is then an integer sum.  Newton polyhedra and lct read
-the same cache.  Scaled by the lcm of the weight denominators, the test
-runs in integers, swept line by line through a bounded box: along each
-line the least last exponent of a member is a falling step function,
-read in closed form from one drop to the next, and the sweep emits the
-minimal generators already sorted.  That makes this module an exact,
+computed once per such support set, by a double-description hull in
+integers, as is each ideal's least value on them; a facet offset is then
+an integer sum.  Newton polyhedra and lct read the same cache.  Scaled
+by the lcm of the weight denominators, the test runs in integers, swept
+line by line through a bounded box: along each line the least last
+exponent of a member is a falling step function, read in closed form
+from one drop to the next, and the sweep emits the minimal generators
+already sorted.  That makes this module an exact,
 independent oracle for multiplier ideals, including the summation
 formula over rational exponent splittings, where the first refinement of
 the splitting grid whose sum equals the left side is the witness: every
@@ -41,9 +41,9 @@ MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
 # digits is the cap flags.MAX_S_DIGITS puts on s
 MAX_HEIGHT_DIGITS = 100
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
-MAX_HULL_CANDIDATES = 2 ** 16  # candidate normals one hull enumeration may try
+MAX_HULL_RAYS = 4_096  # rays one hull may keep after a step
 # generators one ideal document may list, checked before _minimalize,
-# which is quadratic in them, and before any hull projection is taken
+# which is quadratic in them, and before any hull is built
 MAX_GENERATORS = 1_024
 
 
@@ -212,87 +212,88 @@ class NewtonPolyhedron:
     inequalities: tuple
 
 
-def _cross(vectors):
-    """Integer vector orthogonal to d - 1 vectors in Z^d, d >= 2.
-
-    Entry i is (-1)^i times the minor without column i, so that
-    det([r] + vectors) = <r, _cross(vectors)> for every row r.
-    """
-    d = len(vectors) + 1
-    if d == 2:
-        ((u, v),) = vectors
-        return (v, -u)
-    if d == 3:
-        (a, b, c), (x, y, z) = vectors
-        return (b * z - c * y, c * x - a * z, a * y - b * x)
-    minors = [[v[:i] + v[i + 1:] for v in vectors] for i in range(d)]
-    return tuple(
-        (-1) ** i * sum(x * y for x, y in zip(m[0], _cross(m[1:])))
-        for i, m in enumerate(minors)
-    )
-
-
 def hull_inequalities(points, n):
     """Facets of conv(points) + orthant whose normals have >= 2 nonzero entries.
 
     Points are integer vectors; each facet is a primitive integer pair
     (normal, offset), offset > 0, meaning <normal, x> >= offset.  The
     coordinate facets are the engine's: each normal e_i of _support_normals
-    with its _minima offset.
-
-    Such a facet's normal a is >= 0; let F = supp(a).  The facet holds
-    the rays e_i for i outside F, so its points projected onto the
-    coordinates F span a hyperplane there, and each is a minimal
-    projection: one dominated by another would sit strictly below the
-    facet, as every a_i with i in F is positive.  So for each free set
-    F the candidates are the |F|-dimensional cross products of the
-    differences of |F| distinct minimal projections, kept when every
-    entry is nonzero with one sign.  A candidate is a facet when its
-    |F| points attain the least value of <a, .> over all the points,
-    and that value is positive.  The candidates number
-    sum_F C(|proj_F|, |F|); more than MAX_HULL_CANDIDATES of them
-    raise SizeError before any is tried.
-
-    A free set F with one minimal projection is not built: for |F| >= 2
-    it adds C(1, |F|) = 0 candidates.  It has one exactly when a point
-    equals the column minima `least` on F, as that point's projection
-    is <= every other, and a lone minimal one is <= all.  A free set {i}
-    counts one candidate; the engine reads its facet (e_i, min_p p_i).
-    So n plus the sum over the built F is the sum over every F.
+    with its _minima offset.  The facets are found by the double
+    description method (T. S. Motzkin, H. Raiffa, G. L. Thompson and
+    R. M. Thrall, 1953; K. Fukuda and A. Prodon, 1996), in integers.
+    - Homogenization.  Q = conv(points) + R^n_+ is the section at height
+      1 of the cone C spanned by the generators (p, 1), one per point,
+      and (e_i, 0).  <a, x> >= b holds on Q iff y = (a, -b) lies in
+      C* = {y : <g, y> >= 0 for every generator g}, which asks a >= 0
+      and <a, p> >= b for every point p.  C* is pointed, as the
+      generators span R^(n+1).
+    - Extreme rays are facets.  The facets of C are the facets of Q,
+      homogenized, and C's face at infinity R^n_+ x {0}.  They are the
+      extreme rays of C*: (a, -b) for each facet of Q, and (0, 1).  A
+      facet of Q is tight on a point, so gcd(a) divides b, and the
+      primitive ray is (primitive normal, -offset).
+    - Start.  The generators (e_i, 0) and (p, 1), p the first point in
+      sorted order, are independent, so their cone C*_0 is simplicial:
+      its rays are the cofactor rays, each tight on every generator but
+      one.  These are (0, 1), tight on every (e_i, 0), and (e_i, -p_i),
+      tight on (p, 1) and every (e_j, 0), j != i.
+    - Insertion.  Adding a generator g cuts C*_k by <g, y> >= 0.  The
+      extreme rays of the cut cone are the old rays with <g, r> >= 0
+      and, for each adjacent pair r+, r- with <g, r+> > 0 > <g, r->,
+      the ray <g, r+> r- - <g, r-> r+ of the 2-face cone(r+, r-) on
+      which <g, .> = 0.  A new extreme ray lies on a 2-face of C*_k
+      that <g, .> = 0 crosses, and that face has one ray on each side,
+      so each new ray is made once.
+    - Adjacency.  The least face of C*_k holding two extreme rays is
+      cut out by Z, the generators tight on both; they are adjacent iff
+      it is 2-dimensional, that is iff no third extreme ray is tight on
+      all of Z, as a face of dimension 3 or more has three extreme rays
+      or more.  A 2-face is tight on generators of rank n - 1, so
+      |Z| >= n - 1 is checked first.  Distinct extreme rays are tight
+      on distinct sets, each cutting out its own ray, so tight sets are
+      kept as bitmasks, and a third ray is one whose mask is neither.
+      An old ray with <g, r> = 0 gains g's bit.
+    The other points are inserted in sorted order, a repeated one once.
+    A point dominated by another comes after it in that order, so it
+    cuts no ray off: it only adds its bit where it is tight.  More than MAX_HULL_RAYS rays after a step raise SizeError.
+    The rays with two or more nonzero entries in a are the facets
+    returned; their offsets are positive (_support_normals).
     """
     if not points:
         raise InputError("hull needs at least one point")
-    least = [min(col) for col in zip(*points)]
-    projections = [
-        (free, _minimalize(tuple(p[i] for i in free) for p in points))
-        for d in range(2, n + 1)
-        for free in combinations(range(n), d)
-        if not any(all(p[i] == least[i] for i in free) for p in points)
-    ]
-    candidates = n + sum(math.comb(len(proj), len(free)) for free, proj in projections)
-    if candidates > MAX_HULL_CANDIDATES:
-        raise SizeError(
-            f"hull enumeration capped at {MAX_HULL_CANDIDATES} candidate normals "
-            f"(these points need {candidates})"
-        )
-    facets = set()
-    for free, proj in projections:
-        # candidate normal -> least value; a repeated normal is still tested,
-        # as a parallel subset may be the tight one
-        bottom = {}
-        for base, *rest in combinations(proj, len(free)):
-            normal = _cross([[a - b for a, b in zip(p, base)] for p in rest])
-            if normal[0] < 0:
-                normal = [-x for x in normal]
-            if min(normal) <= 0:  # an entry is zero, or the signs differ
-                continue
-            normal = primitive(normal)
-            b = bottom.get(normal)
-            if b is None:
-                b = bottom[normal] = min(sum(map(mul, normal, p)) for p in proj)
-            if b > 0 and sum(map(mul, normal, base)) == b:
-                lift = dict(zip(free, normal))
-                facets.add((tuple(lift.get(i, 0) for i in range(n)), b))
+    least, *rest = sorted(set(map(tuple, points)))
+    every = (1 << n) - 1  # bit i < n: (e_i, 0); bit n + k: the k-th point
+    rays = [((0,) * n + (1,), every)]
+    for i in range(n):
+        ray = tuple(int(j == i) for j in range(n)) + (-least[i],)
+        rays.append((ray, (every ^ 1 << i) | 1 << n))
+    for k, p in enumerate(rest, n + 1):
+        g, bit = p + (1,), 1 << k
+        above, below, kept = [], [], []
+        for y, t in rays:
+            v = sum(map(mul, g, y))
+            if v > 0:
+                above.append((v, y, t))
+                kept.append((y, t))
+            elif v < 0:
+                below.append((v, y, t))
+            else:
+                kept.append((y, t | bit))
+        tights = [t for _, t in rays]
+        for v, y, t in above:
+            for w, x, s in below:
+                z = t & s
+                if z.bit_count() >= n - 1 and not any(
+                    u & z == z and u != t and u != s for u in tights
+                ):
+                    ray = [v * b - w * a for a, b in zip(y, x)]  # v x - w y
+                    kept.append((primitive(ray), z | bit))
+        rays = kept
+        if len(rays) > MAX_HULL_RAYS:
+            raise SizeError(
+                f"hull capped at {MAX_HULL_RAYS} rays (a step kept {len(rays)})"
+            )
+    facets = [(y[:n], -y[n]) for y, _ in rays if y[:n].count(0) < n - 1]
     return tuple(sorted(facets))
 
 
@@ -336,8 +337,9 @@ def _support_normals(supports, n):
       the unit-weight sum, the hull of the sums of one generator per
       ideal.  (A repeated ideal adds nothing, as c * P + c' * P =
       (c + c') * P for convex P.)
-    - A dominated partial sum adds only dominated sums, and the hull drops
-      those, so only the partial sums that are extended are minimalized.
+    - A dominated partial sum adds only dominated sums, which cut no ray
+      of the hull, so only the partial sums that are extended are
+      minimalized.
     - Each e_i is a facet normal of every conv(Q) + R^n_+: the face on
       which x_i is least holds a point p and the rays p + R_+ e_j,
       j != i, so it has dimension n - 1.
@@ -346,9 +348,6 @@ def _support_normals(supports, n):
       dimension n - |F| < n - 1.  hull_inequalities lists every such
       facet, so its normals and the e_i are every facet normal of the
       sum, wherever a translation puts it.
-    The hull cap counts the same candidates as on the sum with its
-    principal factors: a sum with one point translates every
-    projection, and its minimal projections with it.
     """
     points = [(0,) * n]
     for gens in supports:

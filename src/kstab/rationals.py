@@ -59,8 +59,8 @@ def primitive(row):
 
     The row must be nonzero, and no caller passes a zero row:
     LinearForm rejects the zero form, a lattice residual is nonzero
-    (arrangements._closed_ranks), and the hull skips a normal with a
-    zero entry.
+    (arrangements._closed_ranks), and the hull passes a combination of
+    two independent rays with positive weights, which is nonzero.
     """
     divisor = gcd(*row)
     for lead in row:

@@ -11,12 +11,11 @@ from itertools import product
 import pytest
 
 from kstab import (
-    GridTooShortError, SizeError, donaldson_futaki, gamma, monomials, rat, verification,
+    GridTooShortError, SizeError, donaldson_futaki, gamma, rat, verification,
 )
 from kstab.arrangements import MAX_BRAID_G
 from kstab.cli import main
 from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, UniPoly, flag_from_json
-from kstab.monomials import MAX_HULL_CANDIDATES
 
 KSTAB = [sys.executable, "-m", "kstab"]
 
@@ -399,13 +398,10 @@ def test_check_summation_scan_cap_past_printable_counts_exits_3(tmp_path, capsys
     )
 
 
-def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # a0 is the 84 monomials of degree 6 in 4 variables: its hull with
-    # the part would try about 1.9 million candidate normals
-    def no_cross(vectors):
-        raise AssertionError("hull enumeration started past its cap")
-
-    monkeypatch.setattr(monomials, "_cross", no_cross)
+def test_check_summation_past_the_old_hull_cap(tmp_path, capsys):
+    # a0 is the 84 monomials of degree 6 in 4 variables, whose hull with
+    # the part the candidate enumeration refused (about 1.9 million
+    # candidate normals): J(m^6 x_1) = x_1 m^3, 20 generators, at D = 1
     gens = [g for g in product(range(7), repeat=4) if sum(g) == 6]
     path = tmp_path / "hull.json"
     path.write_text(
@@ -420,10 +416,11 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
     )
     code = main(["check-summation", "--file", str(path)])
     out = capsys.readouterr()
-    assert (code, out.out) == (3, "")
-    assert out.err.startswith(
-        f"limit reached: hull enumeration capped at {MAX_HULL_CANDIDATES} "
-    )
+    assert (code, out.err) == (0, "")
+    answer = json.loads(out.out)
+    assert answer["equal"] is True and answer["witness_denominator"] == 1
+    cube = [[1 + g[0], *g[1:]] for g in product(range(4), repeat=4) if sum(g) == 3]
+    assert answer["lhs"] == answer["rhs"] == {"n": 4, "generators": sorted(cube)}
 
 
 # Fixed instances (arity 2, 3 and 4, c with denominators 1 and 2, a
@@ -443,7 +440,10 @@ def test_check_summation_hull_cap_exits_3(tmp_path, monkeypatch, capsys):
 # with denom_bound 1: it exited 3 while an answer also needed 2D within
 # the bound, and answers since the sweep stops at its first proof.  The
 # inconclusive.json of today is stalled.json with denom_bound 2, which
-# has proven neither answer at D = 2.
+# has proven neither answer at D = 2.  past_hull_cap.json (a0 the 84
+# monomials of degree 6 in 4 variables, one part x_1) was recorded when
+# the hull became a double description: the candidate enumeration before
+# it refused the sum's hull and exited 3.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 
