@@ -40,6 +40,7 @@ MAX_SCAN_PREFIXES = 50_000  # box prefixes one multiplier_ideal call may scan
 # printed prefix count: Python prints no int past 4,300 digits, and 100
 # digits is the cap flags.MAX_S_DIGITS puts on s
 MAX_HEIGHT_DIGITS = 100
+HEIGHT_LIMIT = 10**MAX_HEIGHT_DIGITS  # the least number of more digits
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 MAX_HULL_RAYS = 4_096  # rays one hull may keep after a step
 # generators one ideal document may list, checked before _minimalize,
@@ -115,17 +116,16 @@ class MonomialIdeal:
     def __add__(self, other):
         if self.arity != other.arity:
             raise InputError("arity mismatch")
-        return MonomialIdeal(self.arity, self.generators + other.generators)
+        gens = _minimalize(self.generators + other.generators)
+        return MonomialIdeal._minimal(self.arity, gens)
 
     def __mul__(self, other):
         if self.arity != other.arity:
             raise InputError("arity mismatch")
-        gens = {
-            tuple(a + b for a, b in zip(g, h))
-            for g in self.generators
-            for h in other.generators
-        }
-        return MonomialIdeal(self.arity, gens)
+        gens = _minimalize(
+            tuple(map(add, g, h)) for g in self.generators for h in other.generators
+        )
+        return MonomialIdeal._minimal(self.arity, gens)
 
     def to_json(self):
         return {"n": self.arity, "generators": [list(g) for g in self.generators]}
@@ -424,16 +424,24 @@ def multiplier_ideal(prod):
     """
     if not isinstance(prod, WeightedIdealProduct):
         prod = WeightedIdealProduct(prod)
-    factors = [(ideal, c) for ideal, c in prod.factors if c]
+    if not prod.factors:
+        raise InputError("product needs at least one factor")
+    factors = [(a.generators, c.numerator, c.denominator) for a, c in prod.factors if c]
+    return _product_multiplier(factors, prod.arity)
+
+
+def _product_multiplier(factors, n):
+    """The multiplier ideal, in arity n, of the factors (generators,
+    numerator, denominator), each weight positive and in lowest terms:
+    the unit ideal when there is none, else the cached engine's, keyed by
+    the sorted factors.  multiplier_ideal and summation_check's
+    splittings both reach _multiplier through here, so they share its
+    cache entries."""
     if not factors:
-        if not prod.factors:
-            raise InputError("product needs at least one factor")
-        return MonomialIdeal.unit(prod.arity)
-    n = factors[0][0].arity
+        return MonomialIdeal.unit(n)
     if n > MAX_ARITY:
         raise SizeError(f"multiplier ideals capped at arity {MAX_ARITY}")
-    key = sorted((ideal.generators, c.numerator, c.denominator) for ideal, c in factors)
-    return _multiplier(tuple(key), n)
+    return _multiplier(tuple(sorted(factors)), n)
 
 
 @lru_cache(maxsize=CACHE_BOUND)
@@ -463,13 +471,13 @@ def _multiplier(key, n):
     ]
     prefixes = math.prod(c + 1 for c in corner[:-1])
     if prefixes > MAX_SCAN_PREFIXES:
-        if prefixes >= 10**MAX_HEIGHT_DIGITS:
+        if prefixes >= HEIGHT_LIMIT:
             prefixes = f"a count of more than {MAX_HEIGHT_DIGITS} digits"
         raise SizeError(
             f"multiplier-ideal scan capped at {MAX_SCAN_PREFIXES} prefixes "
             f"(this product needs {prefixes})"
         )
-    if corner[-1] >= 10**MAX_HEIGHT_DIGITS:
+    if corner[-1] >= HEIGHT_LIMIT:
         raise SizeError(
             f"multiplier-ideal box height capped at {MAX_HEIGHT_DIGITS} digits"
         )
@@ -574,10 +582,21 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     A sweep that reaches no such D up to denom_bound raises
     InconclusiveError, which is distinct from a mismatch.  A D whose
     C(c * D + l - 1, l - 1) splittings pass MAX_SPLITS raises
-    SizeError before any of them is swept.  A splitting at 2D whose
-    entries are all even is one at D (Fraction(m, 2D) = Fraction(m / 2, D)),
-    so its multiplier_ideal is a cache hit.  The parts together may have
-    at most MAX_GENERATORS generators, checked before their sum is built.
+    SizeError before any of them is swept.
+    - The LHS goes through multiplier_ideal, which checks the weights.
+      Each splitting then goes straight to the engine, keyed as
+      multiplier_ideal keys it: the weight m / D of a part is the pair
+      (m, D) divided by their gcd, so a splitting at 2D whose entries
+      are all even is one at D, and its multiplier ideal a cache hit.
+    - RHS(D) is the minimalized union of the splittings' generators.
+      Where there is one splitting (one part, or c = 0) its multiplier
+      ideal is RHS(D) as it stands: the engine emits the minimal
+      generators sorted, so minimalizing them again would change
+      nothing, at a cost quadratic in them.  The parts' sum, and every
+      ideal sum and product, is built from generators of valid ideals,
+      so none is checked again.
+    The parts together may have at most MAX_GENERATORS generators,
+    checked before their sum is built.
     """
     c0, c = rat(c0), rat(c)
     integer("denom_bound", denom_bound)
@@ -588,21 +607,30 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
         raise InputError("all ideals must share one arity")
     _cap_summed_parts(sum(len(p.generators) for p in parts))
 
-    total = MonomialIdeal(arity, [g for p in parts for g in p.generators])
+    total = MonomialIdeal._minimal(
+        arity, _minimalize(g for p in parts for g in p.generators)
+    )
     lhs = multiplier_ideal([(a0, c0), (total, c)])
+    base = [(a0.generators, c0.numerator, c0.denominator)] if c0 else []
     D = c.denominator
     while D <= denom_bound:
         # D is a multiple of c's denominator: c splits into c * D parts of 1/D
         units = c.numerator * D // c.denominator
         if math.comb(units + len(parts) - 1, len(parts) - 1) > MAX_SPLITS:
             raise SizeError(f"more than {MAX_SPLITS} splittings at denominator {D}")
-        gens = []
+        splits = []
         for split in _compositions(units, len(parts)):
-            factors = [(a0, c0)] + [
-                (p, Fraction(m, D)) for p, m in zip(parts, split)
-            ]
-            gens.extend(multiplier_ideal(factors).generators)
-        rhs = MonomialIdeal(arity, gens)
+            factors = list(base)
+            for p, m in zip(parts, split):
+                if m:  # the weight m / D in lowest terms
+                    d = math.gcd(m, D)
+                    factors.append((p.generators, m // d, D // d))
+            splits.append(_product_multiplier(factors, arity))
+        if len(splits) == 1:  # one part, or c = 0: minimal and sorted already
+            rhs = splits[0]
+        else:
+            gens = _minimalize(g for s in splits for g in s.generators)
+            rhs = MonomialIdeal._minimal(arity, gens)
         if rhs == lhs or not rhs.issubset(lhs):
             return SummationResult(
                 equal=rhs == lhs, witness_denominator=D, lhs=lhs, rhs=rhs

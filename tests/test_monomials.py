@@ -844,35 +844,50 @@ def reference_summation(a0, c0, parts, c, denom_bound=24):
     return None
 
 
-def spy_on_multiplier_ideal(monkeypatch):
-    """The list the part weights of every multiplier_ideal call go to."""
-    calls, real = [], monomials.multiplier_ideal
+def spy_on_the_engine_entry(monkeypatch):
+    """The list the engine key of every _product_multiplier call goes to:
+    its sorted (generators, numerator, denominator) factors.  The LHS,
+    through multiplier_ideal, and every splitting enter the engine there."""
+    calls, real = [], monomials._product_multiplier
 
-    def spy(factors):
-        calls.append([w for _, w in factors[1:]])
-        return real(factors)
+    def spy(factors, n):
+        calls.append(sorted(factors))
+        return real(factors, n)
 
-    monkeypatch.setattr(monomials, "multiplier_ideal", spy)
+    monkeypatch.setattr(monomials, "_product_multiplier", spy)
     return calls
 
 
 def test_summation_matches_the_reference_sweep(monkeypatch):
     # against the reference, which confirms each answer at 2D, on the
-    # verify corpus and on the hand case that stalls at D = 1 and 2.
-    # Every RHS(D) lies in the LHS, so RHS(D) = LHS is proven equality
-    # and the sweep stops there: no part weight, nor the LHS's c on the
-    # sum, has a denominator beyond the witness, and an instance equal
-    # at its first D sweeps nothing at 2D
-    calls = spy_on_multiplier_ideal(monkeypatch)
+    # verify corpus, on the hand case that stalls at D = 1 and 2, and on
+    # one-part, c0 = 0, c = 0 and principal-part cases.  Every RHS(D)
+    # lies in the LHS, so RHS(D) = LHS is proven equality and the sweep
+    # stops there: no part weight, nor the LHS's c on the sum, has a
+    # denominator beyond the witness, and an instance equal at its first
+    # D sweeps nothing at 2D.  a0's weight, when positive, is in every key
+    calls = spy_on_the_engine_entry(monkeypatch)
     x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
+    z3 = MonomialIdeal.principal((0, 0, 1))
     instances = verification._random_summation_instances(7, 40)
-    instances.append((x, F(1, 2), [x, y], F(1)))
+    instances += [
+        (x, F(1, 2), [x, y], F(1)),
+        (x, F(1, 2), [MonomialIdeal(2, [(2, 0), (0, 3)])], F(3, 2)),  # one part
+        (XY, F(0), [MonomialIdeal(2, [(3, 0), (1, 1)]), y], F(3, 2)),  # c0 = 0
+        (XY, F(0), [XY, x], F(0)),  # no factor of positive weight: the unit
+        (z3, F(1), [MonomialIdeal.principal(e) for e in [(2, 0, 0), (0, 3, 0),
+                                                         (1, 1, 1)]], F(1)),
+    ]
     witnesses, first = set(), 0
     for a0, c0, parts, c in instances:
         calls.clear()
         result = summation_check(a0, c0, parts, c)
         D = result.witness_denominator
-        assert calls and all(D % w.denominator == 0 for ws in calls for w in ws)
+        assert calls
+        for key in calls:
+            if c0:
+                key.remove((a0.generators, c0.numerator, c0.denominator))
+            assert all(D % den == 0 for _, _, den in key), (a0, c0, parts, c)
         got = (result.equal, D, result.lhs, result.rhs)
         assert got == reference_summation(a0, c0, parts, c), (a0, c0, parts, c)
         witnesses.add(D)
@@ -882,18 +897,13 @@ def test_summation_matches_the_reference_sweep(monkeypatch):
 
 def test_summation_computes_each_distinct_product_once(monkeypatch):
     # a splitting at 2D whose entries are all even is the product of one
-    # at D, weights normalised, so over the C09 corpus every product
+    # at D, weights in lowest terms, so over the C09 corpus every product
     # summation_check asks for more than once is a _multiplier cache hit
-    products, real = [], monomials.multiplier_ideal
-
-    def spy(factors):
-        products.append(tuple(sorted((a.generators, w) for a, w in factors if w)))
-        return real(factors)
-
-    monkeypatch.setattr(monomials, "multiplier_ideal", spy)
+    products = spy_on_the_engine_entry(monkeypatch)
     monomials._multiplier.cache_clear()
     for a0, c0, parts, c in verification._random_summation_instances(42, 25):
         summation_check(a0, c0, parts, c)
+    products = [tuple(key) for key in products]
     assert len(products) > len(set(products))
     assert monomials._multiplier.cache_info().misses == len(set(products))
 
@@ -903,18 +913,60 @@ def test_summation_stops_at_its_first_equal_refinement(monkeypatch):
     # splittings of c = 1 between two parts; nothing of D = 2 is read,
     # neither its 3 splittings against MAX_SPLITS nor denom_bound
     unit = MonomialIdeal.unit(2)
-    calls = spy_on_multiplier_ideal(monkeypatch)
+    calls = spy_on_the_engine_entry(monkeypatch)
     monkeypatch.setattr(monomials, "MAX_SPLITS", 2)
     for bound in (1, 24):
         calls.clear()
         result = summation_check(unit, 0, [XY, XY], 1, denom_bound=bound)
         assert (result.equal, result.witness_denominator) == (True, 1)
         assert result.lhs == result.rhs == unit
-        assert calls == [[1], [0, 1], [1, 0]]  # the LHS, then D = 1 only
+        # the LHS, (x, y)^1 on the sum, then D = 1 only: (0, 1) and (1, 0)
+        # each put weight 1 on one copy of (x, y)
+        assert calls == [[(XY.generators, 1, 1)]] * 3
     monkeypatch.setattr(monomials, "MAX_SPLITS", 1)
     with pytest.raises(SizeError) as info:
         summation_check(unit, 0, [XY, XY], 1)
     assert str(info.value) == "more than 1 splittings at denominator 1"
+
+
+def test_summation_rebuilds_no_ideal_it_already_has(monkeypatch):
+    # the engine emits a multiplier ideal's minimal generators sorted, so
+    # a lone splitting's ideal is RHS(D) as it stands: _minimalize never
+    # sees its generators.  RHS(D), the parts' sum and the sum that tests
+    # RHS(D) in the LHS are built from valid ideals, so with two or three
+    # parts no MonomialIdeal.__init__ checks their generators again
+    x = MonomialIdeal.principal((1, 0))
+    part = MonomialIdeal(2, [(4, 0), (1, 2), (0, 5)])
+    seen, minimalize = [], monomials._minimalize
+
+    def spy(gens):
+        gens = list(gens)
+        seen.append(set(gens))
+        return minimalize(gens)
+
+    monkeypatch.setattr(monomials, "_minimalize", spy)
+    result = summation_check(x, F(1, 2), [part], F(5, 2))
+    assert (result.equal, result.witness_denominator) == (True, 2)
+    assert len(result.rhs.generators) == 8  # J(x^(1/2) part^(5/2))
+    assert seen and set(result.rhs.generators) not in seen
+    monkeypatch.undo()
+
+    z3 = MonomialIdeal.principal((0, 0, 1))
+    instances = [
+        (x, F(1, 2), [x, MonomialIdeal.principal((0, 1))], F(1)),  # witness 4
+        (XY, F(0), [MonomialIdeal(2, [(3, 0), (1, 1)]), x], F(3, 2)),
+        (z3, F(1), [MonomialIdeal(3, [(2, 0, 0), (0, 1, 1)]), z3,
+                    MonomialIdeal.principal((0, 3, 0))], F(1)),
+    ]
+    answers = [summation_check(*instance) for instance in instances]
+    assert {r.witness_denominator for r in answers} == {1, 2, 4}
+
+    def no_init(self, *args):
+        raise AssertionError("MonomialIdeal.__init__ checked valid generators again")
+
+    monomials._multiplier.cache_clear()
+    monkeypatch.setattr(MonomialIdeal, "__init__", no_init)
+    assert [summation_check(*instance) for instance in instances] == answers
 
 
 def test_summation_answers_the_same_under_every_bound_past_its_witness():
