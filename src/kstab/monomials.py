@@ -7,8 +7,9 @@ the weighted Minkowski sum of the Newton polyhedra.  A principal factor
 only translates that sum, so its facet normals depend only on which
 ideals with two or more generators carry a positive weight, and they are
 computed once per such support set, by a double-description hull in
-integers, as is each ideal's least value on them; a facet offset is then
-an integer sum.  Newton polyhedra and lct read the same cache.  Scaled
+integers that lists every facet, as is each ideal's least value on
+them; a facet offset is then an integer sum.  Newton polyhedra and lct
+read the same cache: a Newton polyhedron is its generators' hull.  Scaled
 by the lcm of the weight denominators, the test runs in integers, swept
 line by line through a bounded box: along each line the least last
 exponent of a member is a falling step function, read in closed form
@@ -43,6 +44,7 @@ MAX_HEIGHT_DIGITS = 100
 HEIGHT_LIMIT = 10**MAX_HEIGHT_DIGITS  # the least number of more digits
 MAX_SPLITS = 5_000  # splittings (products) one summation refinement may build
 MAX_HULL_RAYS = 4_096  # rays one hull may keep after a step
+MAX_SUM_POINTS = 131_072  # sums one step of a Minkowski sum may build
 # generators one ideal document may list, checked before _minimalize,
 # which is quadratic in them, and before any hull is built
 MAX_GENERATORS = 1_024
@@ -203,9 +205,10 @@ class WeightedIdealProduct:
 class NewtonPolyhedron:
     """H-representation of conv(generators) + nonnegative orthant.
 
-    Each inequality is (normal, offset) meaning <normal, x> >= offset,
-    with integer normals >= 0.  Coordinate bounds x_i >= 0 are always
-    listed; every other inequality is tight on some generator.
+    Each inequality is a facet (normal, offset), sorted, meaning
+    <normal, x> >= offset, with a primitive integer normal >= 0 and an
+    offset >= 0, tight on some generator.  Each facet is listed once:
+    x_i >= min_g g_i is the facet with normal e_i.
     """
 
     source: MonomialIdeal
@@ -213,14 +216,14 @@ class NewtonPolyhedron:
 
 
 def hull_inequalities(points, n):
-    """Facets of conv(points) + orthant whose normals have >= 2 nonzero entries.
+    """Every facet of conv(points) + orthant, sorted.
 
     Points are integer vectors; each facet is a primitive integer pair
-    (normal, offset), offset > 0, meaning <normal, x> >= offset.  The
-    coordinate facets are the engine's: each normal e_i of _support_normals
-    with its _minima offset.  The facets are found by the double
-    description method (T. S. Motzkin, H. Raiffa, G. L. Thompson and
-    R. M. Thrall, 1953; K. Fukuda and A. Prodon, 1996), in integers.
+    (normal, offset), offset >= 0, meaning <normal, x> >= offset, the
+    coordinate facets (e_i, min_p p_i) among them.  The facets are found
+    by the double description method (T. S. Motzkin, H. Raiffa,
+    G. L. Thompson and R. M. Thrall, 1953; K. Fukuda and A. Prodon,
+    1996), in integers.
     - Homogenization.  Q = conv(points) + R^n_+ is the section at height
       1 of the cone C spanned by the generators (p, 1), one per point,
       and (e_i, 0).  <a, x> >= b holds on Q iff y = (a, -b) lies in
@@ -255,9 +258,9 @@ def hull_inequalities(points, n):
       An old ray with <g, r> = 0 gains g's bit.
     The other points are inserted in sorted order, a repeated one once.
     A point dominated by another comes after it in that order, so it
-    cuts no ray off: it only adds its bit where it is tight.  More than MAX_HULL_RAYS rays after a step raise SizeError.
-    The rays with two or more nonzero entries in a are the facets
-    returned; their offsets are positive (_support_normals).
+    cuts no ray off: it only adds its bit where it is tight.  More than
+    MAX_HULL_RAYS rays after a step raise SizeError.  Every extreme ray
+    but (0, 1) is a facet returned; its offset is >= 0, as the points are.
     """
     if not points:
         raise InputError("hull needs at least one point")
@@ -293,25 +296,22 @@ def hull_inequalities(points, n):
             raise SizeError(
                 f"hull capped at {MAX_HULL_RAYS} rays (a step kept {len(rays)})"
             )
-    facets = [(y[:n], -y[n]) for y, _ in rays if y[:n].count(0) < n - 1]
-    return tuple(sorted(facets))
+    return tuple(sorted((y[:n], -y[n]) for y, _ in rays if any(y[:n])))
 
 
 def newton_polyhedron(ideal):
-    """Exact H-representation of the Newton polyhedron of an ideal: the n
-    bounds (e_i, 0), then, sorted, the engine's facets with offset > 0.
-    Those are all the others: _support_normals gives every facet normal,
-    hull facets have offset > 0, (e_i, min_p p_i) is a facet beyond its
-    bound iff min_p p_i > 0, and _minima is the hull's tight minimum."""
+    """Exact H-representation of the Newton polyhedron of an ideal, read
+    from the cached engine: each sorted normal of _support_normals with
+    its _minima offset, which is the facet's, as a facet is tight on a
+    generator.  So it is hull_inequalities(generators), and for a
+    principal x^d, whose supports are (), the facets (e_i, d_i)."""
     n = ideal.arity
     if n > MAX_ARITY:
         raise SizeError(f"Newton polyhedra capped at arity {MAX_ARITY}")
     gens = ideal.generators
     supports = (gens,) if len(gens) > 1 else ()
-    normals = _support_normals(supports, n)
-    facets = sorted(f for f in zip(normals, _minima(gens, supports, n)) if f[1] > 0)
-    bounds = tuple((a, 0) for a in normals[:n])
-    return NewtonPolyhedron(source=ideal, inequalities=bounds + tuple(facets))
+    facets = zip(_support_normals(supports, n), _minima(gens, supports, n))
+    return NewtonPolyhedron(source=ideal, inequalities=tuple(facets))
 
 
 CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
@@ -320,8 +320,7 @@ CACHE_BOUND = 4096  # entries each module cache keeps; the least recent go first
 @lru_cache(maxsize=CACHE_BOUND)
 def _support_normals(supports, n):
     """Facet normals of every sum sum_i c_i * P(a_i) + sum_j c_j * P(x^d_j)
-    with all c_i, c_j > 0: the coordinate normals e_1..e_n, then the
-    normals of hull_inequalities, which have two or more nonzero entries.
+    with all c_i, c_j > 0: the normals of hull_inequalities, sorted.
 
     supports are the distinct generator tuples of the non-principal
     a_i (two or more generators each), sorted.
@@ -339,21 +338,20 @@ def _support_normals(supports, n):
       (c + c') * P for convex P.)
     - A dominated partial sum adds only dominated sums, which cut no ray
       of the hull, so only the partial sums that are extended are
-      minimalized.
-    - Each e_i is a facet normal of every conv(Q) + R^n_+: the face on
-      which x_i is least holds a point p and the rays p + R_+ e_j,
-      j != i, so it has dimension n - 1.
-    - A facet normal a >= 0 with support F, |F| >= 2, has a positive
-      offset: were it 0, its face would lie in {x >= 0 : x_F = 0}, of
-      dimension n - |F| < n - 1.  hull_inequalities lists every such
-      facet, so its normals and the e_i are every facet normal of the
-      sum, wherever a translation puts it.
+      minimalized.  A step that would build more than MAX_SUM_POINTS
+      sums, minimal partial sums times generators, raises SizeError
+      before it builds them.
     """
     points = [(0,) * n]
     for gens in supports:
-        points = [tuple(map(add, p, g)) for p in _minimalize(points) for g in gens]
-    coordinate = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-    return coordinate + tuple(a for a, _ in hull_inequalities(points, n))
+        points = _minimalize(points)
+        if len(points) * len(gens) > MAX_SUM_POINTS:
+            raise SizeError(
+                f"Minkowski sums capped at {MAX_SUM_POINTS} points "
+                f"(a step needs {len(points) * len(gens)})"
+            )
+        points = [tuple(map(add, p, g)) for p in points for g in gens]
+    return tuple(a for a, _ in hull_inequalities(points, n))
 
 
 def multiplier_ideal(prod):

@@ -443,7 +443,14 @@ def test_check_summation_past_the_old_hull_cap(tmp_path, capsys):
 # has proven neither answer at D = 2.  past_hull_cap.json (a0 the 84
 # monomials of degree 6 in 4 variables, one part x_1) was recorded when
 # the hull became a double description: the candidate enumeration before
-# it refused the sum's hull and exited 3.
+# it refused the sum's hull and exited 3.  past_sum_cap.json was recorded
+# when each step of a Minkowski sum was capped: a0 is the 20 monomials of
+# degree 3 in 4 variables at c0 = 1, the three parts are 200 monomials each
+# of random.Random(1).sample(mons, 600), mons the 891 monomials of degree
+# 20 in 4 variables with exponents <= 10, and c = 3.  Its splitting
+# (0, 1, 2) at D = 1 needs 1,329 minimal partial sums of a0 and one part
+# times 200 generators, 265,800 sums; the uncapped sweep answered equal at
+# D = 1 after building that sum and larger ones.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 

@@ -210,13 +210,43 @@ def test_hull_ray_cap(monkeypatch):
     # inserting (1, 1) keeps 4: (0, 0, 1), (1, 0, 0), (0, 1, -1), (1, 1, -2);
     # inserting (2, 0) keeps 4: (0, 1, 0) takes the place of (0, 1, -1).
     # At a cap of 4 the hull answers; at 3 the first step is refused.
+    # Every ray but (0, 0, 1) is a facet.
     points = [(0, 2), (1, 1), (2, 0)]
     monkeypatch.setattr(monomials, "MAX_HULL_RAYS", 4)
-    assert hull_inequalities(points, 2) == (((1, 1), 2),)
+    assert hull_inequalities(points, 2) == (((0, 1), 0), ((1, 0), 0), ((1, 1), 2))
     monkeypatch.setattr(monomials, "MAX_HULL_RAYS", 3)
     with pytest.raises(SizeError) as info:
         hull_inequalities(points, 2)
     assert str(info.value) == "hull capped at 3 rays (a step kept 4)"
+
+
+def test_minkowski_sum_cap(monkeypatch):
+    # the supports, sorted: (y, x^2), (y^2, xy, x^2), (y^2, x^3).  The
+    # steps build 1 x 2 = 2 sums, then 2 x 3 = 6, of which 4 are minimal
+    # ((2, 2) and (3, 1) are dominated), then 4 x 2 = 8.  At a cap of 8 the
+    # product answers; at 7 the last step is refused before it builds a
+    # sum: the 2 + 6 sums of the first two steps are all that are built.
+    factors = [
+        (MonomialIdeal(2, [(0, 1), (2, 0)]), F(1)),
+        (MonomialIdeal(2, [(0, 2), (1, 1), (2, 0)]), F(1, 2)),
+        (MonomialIdeal(2, [(0, 2), (3, 0)]), F(2, 3)),
+    ]
+    monkeypatch.setattr(monomials, "MAX_SUM_POINTS", 8)
+    assert multiplier_ideal(factors) == box_scan(factors)
+    for cache in (monomials._multiplier, monomials._support_normals, monomials._minima):
+        cache.cache_clear()
+    added = []
+
+    def counted_add(x, y):
+        added.append((x, y))
+        return x + y
+
+    monkeypatch.setattr(monomials, "MAX_SUM_POINTS", 7)
+    monkeypatch.setattr(monomials, "add", counted_add)
+    with pytest.raises(SizeError) as info:
+        multiplier_ideal(factors)
+    assert str(info.value) == "Minkowski sums capped at 7 points (a step needs 8)"
+    assert len(added) == 2 * (2 + 6)  # two coordinates per sum
 
 
 def test_polyhedron_valid_and_tight_on_generators():
@@ -287,19 +317,15 @@ def reference_hull(points, n):
     )
 
 
-def hull_part_of_reference(points, n):
-    """reference_hull's facets whose normals have two or more nonzero
-    entries, the ones hull_inequalities lists.  The rest are checked
-    here: they are exactly (e_i, min_p p_i) for each positive minimum."""
-    reference = reference_hull(points, n)
-    hull = tuple(f for f in reference if f[0].count(0) < n - 1)
-    coordinate = {
-        (tuple(int(j == i) for j in range(n)), m)
+def reference_facets(points, n):
+    """Every facet of conv(points) + orthant, sorted: reference_hull's,
+    of positive offset, and (e_i, 0) for each i with min_p p_i = 0."""
+    zero = [
+        (tuple(int(j == i) for j in range(n)), 0)
         for i, m in enumerate(map(min, zip(*points)))
-        if m > 0
-    }
-    assert set(reference) - set(hull) == coordinate, points
-    return hull
+        if m == 0
+    ]
+    return tuple(sorted(reference_hull(points, n) + tuple(zero)))
 
 
 def test_projected_kernel_matches_full_search():
@@ -310,7 +336,7 @@ def test_projected_kernel_matches_full_search():
             tuple(rng.randint(0, 6) for _ in range(n))
             for _ in range(rng.randint(1, 8))
         ]
-        assert hull_inequalities(points, n) == hull_part_of_reference(points, n), points
+        assert hull_inequalities(points, n) == reference_facets(points, n), points
 
 
 def diagonal_sum(rng, n):
@@ -335,13 +361,15 @@ def test_hull_matches_full_search_on_diagonal_sums():
     for i in range(300):
         n = 2 + i % 3
         points = diagonal_sum(rng, n)
-        assert hull_inequalities(points, n) == hull_part_of_reference(points, n), points
+        assert hull_inequalities(points, n) == reference_facets(points, n), points
 
 
 def test_hull_of_points_on_the_axes():
-    # the one facet past the coordinate ones is x/2 + y + z + w >= 1
+    # the one facet past the coordinate ones x_i >= 0 is x/2 + y + z + w >= 1
     points = [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    assert hull_inequalities(points, 4) == (((1, 2, 2, 2), 2),)
+    assert hull_inequalities(points, 4) == coordinate_bounds(4) + (
+        ((1, 2, 2, 2), 2),
+    )
 
 
 def test_hull_alone_drops_the_dominated_sums(monkeypatch):
@@ -373,12 +401,16 @@ def test_hull_alone_drops_the_dominated_sums(monkeypatch):
 
 
 def coordinate_bounds(n):
-    return tuple((tuple(int(j == i) for j in range(n)), 0) for i in range(n))
+    """The facets (e_i, 0), sorted: e_n first."""
+    return tuple((tuple(int(j == i) for j in range(n)), 0) for i in reversed(range(n)))
 
 
 def test_newton_polyhedron_matches_full_search():
-    # the n bounds, then every facet of positive offset in sorted order;
-    # lct is the least sum(normal) / offset over those facets
+    # one facet list: the engine's normals and minima are the hull of the
+    # generators, for a principal ideal (supports ()) too, and that hull is
+    # every facet of the full search, once, in sorted order, (e_i, m) with
+    # m > 0 among them where the ideal lies off the axes; lct is the least
+    # sum(normal) / offset over the facets of positive offset
     rng = random.Random("newton-full-search")
     ideals = [MonomialIdeal.unit(n) for n in range(1, 5)]
     for i in range(240):
@@ -400,11 +432,16 @@ def test_newton_polyhedron_matches_full_search():
         ideals.append(MonomialIdeal(n, gens))
     for a in ideals:
         n = a.arity
-        reference = reference_hull(a.generators, n)
-        assert newton_polyhedron(a).inequalities == coordinate_bounds(n) + reference, a
+        hull = hull_inequalities(a.generators, n)
+        assert newton_polyhedron(a).inequalities == hull, a
+        assert hull == reference_facets(a.generators, n), a
         if not a.is_unit():
-            assert lct_monomial(a) == min(F(sum(c), b) for c, b in reference), a
+            assert lct_monomial(a) == min(F(sum(c), b) for c, b in hull if b > 0), a
     assert sum(len(a.generators) == 1 and not a.is_unit() for a in ideals) > 50
+    assert sum(
+        len(a.generators) > 1 and any(min(col) > 0 for col in zip(*a.generators))
+        for a in ideals
+    ) > 30
 
 
 def test_newton_polyhedron_and_lct_read_the_multiplier_engine(monkeypatch):
@@ -425,13 +462,14 @@ def test_newton_polyhedron_and_lct_read_the_multiplier_engine(monkeypatch):
         assert cache.cache_info().misses == info.misses
         assert cache.cache_info().hits == info.hits + 2
     monkeypatch.undo()
-    assert poly.inequalities == coordinate_bounds(3) + reference_hull(a.generators, 3)
+    assert poly.inequalities == reference_facets(a.generators, 3)
     # a principal ideal reads the supports (): one engine entry, which the
     # principal product's multiplier ideal then hits
     x = MonomialIdeal.principal((1, 0, 2))
     monomials._support_normals.cache_clear()
-    assert newton_polyhedron(x).inequalities == coordinate_bounds(3) + (
+    assert newton_polyhedron(x).inequalities == (
         ((0, 0, 1), 2),
+        ((0, 1, 0), 0),
         ((1, 0, 0), 1),
     )
     assert monomials._support_normals.cache_info().currsize == 1
@@ -622,8 +660,7 @@ def test_height_cap_bounds_the_box():
 def test_support_normals_give_every_weighted_facet():
     # the normals of the non-principal supports, with offsets from the
     # support function over every factor, are exactly the facets of the
-    # weighted-point hull where the offset is positive, and coordinate
-    # normals where it is 0
+    # weighted-point hull, sorted
     rng = random.Random("support-normals")
     zero_weights = principal = 0
     for i in range(300):
@@ -649,11 +686,7 @@ def test_support_normals_give_every_weighted_facet():
             )
             for normal in _support_normals(supports, n)
         )
-        expected = reference_hull(weighted_points(live, scale), n)
-        assert sorted(f for f in support if f[1] > 0) == list(expected), factors
-        assert all(
-            sorted(normal) == [0] * (n - 1) + [1] for normal, b in support if b == 0
-        ), factors
+        assert support == reference_facets(weighted_points(live, scale), n), factors
     assert zero_weights > 0 and principal > 0
 
 
@@ -1167,6 +1200,22 @@ def test_summation_answers_agree_with_the_real_splitting_rhs():
                     checks += 1
                     assert w not in rhs, (a0, c0, parts, c, w)
     assert answered > 230 and checks > 1500
+
+
+def test_summation_of_a_large_arity_four_sum_answers():
+    # a0 is 300 and the one part 300 others, shifted by e_1, of the 2,736
+    # monomials of degree 30 in 4 variables with exponents <= 15: the LHS
+    # and the splitting each build 300 x 300 = 90,000 sums in one step,
+    # under the Minkowski-sum cap, and the check answers at D = 1
+    mons = [g for g in product(range(16), repeat=4) if sum(g) == 30]
+    pick = random.Random(282).sample(mons, 600)
+    a0 = MonomialIdeal(4, pick[:300])
+    part = MonomialIdeal(4, [(g[0] + 1, *g[1:]) for g in pick[300:]])
+    assert len(a0.generators) == len(part.generators) == 300
+    assert 300 * 300 <= monomials.MAX_SUM_POINTS
+    result = summation_check(a0, 1, [part], 1)
+    assert result.equal and result.witness_denominator == 1
+    assert len(result.lhs.generators) == 17_675
 
 
 def test_summed_parts_are_capped_before_their_sum_is_built(monkeypatch):
