@@ -22,13 +22,7 @@ from .arrangements import (
     lct_braid,
     lct_central,
 )
-from .errors import (
-    GridTooShortError,
-    InconclusiveError,
-    InputError,
-    KstabError,
-    SizeError,
-)
+from .errors import InconclusiveError, InputError, KstabError, SizeError
 from .flags import (
     DFReport,
     FlagIdealP1,

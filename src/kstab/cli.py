@@ -15,12 +15,7 @@ import os
 import sys
 
 from .arrangements import arrangement_from_json, lct_braid, lct_central
-from .errors import (
-    GridTooShortError,
-    InconclusiveError,
-    InputError,
-    SizeError,
-)
+from .errors import InconclusiveError, InputError, SizeError
 from .flags import donaldson_futaki, flag_from_json
 from .gamma import gamma_at_k, gamma_report_json
 from .monomials import summation_check, summation_from_json
@@ -190,7 +185,7 @@ def main(argv=None):
     except InputError as exc:
         _note(f"input error: {exc}")
         return EXIT_INPUT
-    except (SizeError, GridTooShortError, InconclusiveError) as exc:
+    except (SizeError, InconclusiveError) as exc:
         _note(f"limit reached: {exc}")
         return EXIT_LIMIT
     try:

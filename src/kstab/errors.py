@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping in the CLI: InputError -> 2, the resource/limit
-errors (SizeError, GridTooShortError, InconclusiveError) -> 3.
+Exit-code mapping in the CLI: InputError -> 2, and exit 3 for a limit:
+SizeError (a hard cap, among them the k*s cap that ends the DF base
+walk) or InconclusiveError (the summation sweep's denominator bound).
 """
 
 
@@ -15,10 +16,6 @@ class InputError(KstabError, ValueError):
 
 class SizeError(KstabError):
     """Input exceeds a hard size cap (lattice blow-up, matrix size, arity)."""
-
-
-class GridTooShortError(KstabError):
-    """No grid base reproduced the counted weights within the caps."""
 
 
 class InconclusiveError(KstabError):

@@ -6,17 +6,19 @@ affine line to the power ks gives a filtration whose dimension count
 is the total weight w(k).  The Donaldson-Futaki invariant needs only
 the k^2 and k coefficients of w, which come in closed form from the
 lower convex envelopes of the flag's multiplicities, and DF = w2 - 2 w1
-is read straight off them.  The counted weights confirm them and fill
-the report's own types: the SampleGrid of (k, w(k)) and the UniPoly
-w_poly with its constant term.  One short min-plus sweep per point cost,
-kept in a bounded process-wide cache (_Point), serves every flag, s and
-k that reads the point, and the power-ideal divisors too: a part step
-is one (min,+) convolution of the row with the point's costs, and a
-point stops once its row certifies its own stretch.  Everything here is
-exact, and the escalation runs on integers over an exact common
-denominator: the closed form sums the envelopes scaled by the lcm of
-their segment lengths, and a grid base compares integer residuals over
-the denominator of (w2, w1), stopping at its first miss.  Fractions are
+is read straight off them.  The counted weights confirm them at the
+first grid base 1, 2, 3, ... that reproduces them, a walk that the
+part-count cap MAX_KS ends, and fill the report's own types: the
+SampleGrid of (k, w(k)) and the UniPoly w_poly with its constant
+term.  One short min-plus sweep per point cost, kept in a bounded
+process-wide cache (_Point), serves every flag, s and k that reads the
+point, and the power-ideal divisors too: a part step is one (min,+)
+convolution of the row with the point's costs, and a point stops once
+its row certifies its own stretch.  Everything here is exact, and the
+escalation runs on integers over an exact common denominator: the
+closed form sums the envelopes scaled by the lcm of their segment
+lengths, and a grid base compares integer residuals over the
+denominator of (w2, w1), stopping at its first miss.  Fractions are
 built only on the one interval where s D^ crosses 2, for (w2, w1), and
 for the report of the accepted base.
 """
@@ -26,30 +28,30 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
+from itertools import count, pairwise
 from math import lcm
 from operator import add
 
-from .errors import GridTooShortError, InputError, SizeError
+from .errors import InputError, SizeError
 from .rationals import fields, integer, rat, rat_str
 
 DEFAULT_MULTIPLIERS = (2, 3, 4, 5, 6, 8)
 # an accepted base must leave the same residual at these multiples of it
 REFINE_MULTIPLIERS = (10, 12)
-# cap on the part count (k*s for weight, ks for tilde_divisors): escalation
-# at s = 1 reaches base 40 times refinement 12
+# cap on the part count (k*s for weight, ks for tilde_divisors); it also
+# ends the escalation walk, at base 41 for s = 1 (refinement 12 gives 492)
 MAX_KS = 480
 # cap on the flag length M: each part step and the envelope shortest
-# paths grow with M, and escalation may walk every base
+# paths grow with M, and escalation may walk up to 40 bases
 MAX_M = 16
 # cap on the number of points: every part step and weight read walks
 # each point's row
 MAX_POINTS = 8
-# a flag whose weight is quasi-polynomial of period P stabilizes
-# exactly when P divides the grid base, so escalation walks through
-# small bases directly (cheap failures) instead of huge composites,
-# up to 40: 12 * base * num(s) > MAX_KS for every s once base >= 41
-ESCALATION_BASES = tuple(range(1, 31)) + (36, 40)
+# cap on a multiplicity: a min-plus row entry prices at most MAX_KS + 1
+# parts, and an excess path (_mean_excess) fewer than M parts, each at
+# most M times the largest multiplicity, M <= MAX_M; so every real
+# cost stays below _INF while (MAX_KS + 1) * MAX_MULTIPLICITY < 2^62
+MAX_MULTIPLICITY = 10**15
 # cap on the digits of num(s) and den(s): the grid's k grow with den(s),
 # w2 with den(s)^2 and the part counts in the k*s message with num(s),
 # and each must convert to a string, which Python limits to 4300 digits
@@ -162,14 +164,17 @@ def _point_costs(flag):
     """costs[p][t]: the price at point p of a part of size t (0 for t = 0).
 
     Every computation on the flag's multiplicities reads them here, so
-    this is where the flag length is capped at MAX_M and the number of
-    points at MAX_POINTS.
+    this is where the flag length is capped at MAX_M, the number of
+    points at MAX_POINTS and each multiplicity, the last of its
+    nondecreasing row, at MAX_MULTIPLICITY.
     """
     if flag.M > MAX_M:
         raise SizeError(f"flag length M capped at {MAX_M} (got {flag.M})")
     costs = _cost_table(flag)
     if len(costs) > MAX_POINTS:
         raise SizeError(f"flag points capped at {MAX_POINTS} (got {len(costs)})")
+    if any(cost[-1] > MAX_MULTIPLICITY for cost in costs):
+        raise SizeError(f"flag multiplicities capped at {MAX_MULTIPLICITY}")
     return costs
 
 
@@ -456,22 +461,21 @@ def donaldson_futaki(flag, s):
     N(k) = 2k + 1: that is w2 - 2 w1, both from _closed_form.  DF0
     carries the curve normalization 2*(2!)^2 / deg(-K) = 4, and the
     inferred (Lbar^2) is 2 w2.  The report's grid and constant term
-    come from the first base in ESCALATION_BASES whose counted weights
-    confirm w2 and w1 (see _fit), every base reading one _Sweep.  A
-    base that needs k*s > MAX_KS ends the walk with SizeError, and a
-    walk that runs out of bases re-raises the last GridTooShortError.
-    Semiampleness of the polarization is not checked; the report says
-    so.
+    come from the first base 1, 2, 3, ... whose counted weights confirm
+    w2 and w1 (see _fit), every base reading one _Sweep.  Semiampleness
+    of the polarization is not checked; the report says so.
+
+    The walk ends.  Base b samples up to k = 12 b den(s), whose part
+    count is 12 b num(s), and _fit raises SizeError before any sample
+    once that passes MAX_KS = 480, that is once b num(s) > 40.  So
+    base floor(40 / num(s)) + 1 raises if no earlier base was accepted.
     """
     sweep = _Sweep(flag, s)
     w2, w1 = _closed_form(sweep.points, sweep.s)
-    last = None
-    for base in ESCALATION_BASES:
-        try:
-            return _fit(sweep, base, w2, w1)
-        except GridTooShortError as exc:
-            last = exc
-    raise last
+    for base in count(1):
+        report = _fit(sweep, base, w2, w1)
+        if report is not None:
+            return report
 
 
 def _fit(sweep, base, w2, w1):
@@ -482,12 +486,11 @@ def _fit(sweep, base, w2, w1):
     (p2 k + p1) k.  With k0 = base * den(s), the base is accepted iff r
     is one value c at k0 * 3, 4, 5, 6, 8 and at k0 * REFINE_MULTIPLIERS
     (kept out of the report).  They are sampled in that order and a
-    rejected base stops at its first miss; its message names k0 * 8,
-    the grid's largest k, whether sampled or not.  Only an accepted
-    base samples k0 * 2: onset_k is k0 * 2 if r is c there too, else
-    k0 * 3.  Its report has w at k0 * DEFAULT_MULTIPLIERS and w_poly =
-    c/q + w1 k + w2 k^2.  Every sample point is checked against MAX_KS
-    before the sweep takes a step.
+    rejected base stops at its first miss and returns None.  Only an
+    accepted base samples k0 * 2: onset_k is k0 * 2 if r is c there
+    too, else k0 * 3.  Its report has w at k0 * DEFAULT_MULTIPLIERS and
+    w_poly = c/q + w1 k + w2 k^2.  Every sample point is checked against
+    MAX_KS before the sweep takes a step.
     """
     s = sweep.s
     k0 = base * s.denominator
@@ -500,15 +503,10 @@ def _fit(sweep, base, w2, w1):
         k = k0 * m
         return q * sweep.weight(k) - (p2 * k + p1) * k
 
-    onset, first, *rest = DEFAULT_MULTIPLIERS
+    onset, first, *rest = DEFAULT_MULTIPLIERS + REFINE_MULTIPLIERS
     c = residual(first)
     if any(residual(m) != c for m in rest):
-        raise GridTooShortError(
-            f"no stabilization within the grid (largest k tried: {k0 * rest[-1]})"
-        )
-    for m in REFINE_MULTIPLIERS:
-        if residual(m) != c:
-            raise GridTooShortError(f"refinement misses w({k0 * m})")
+        return None
     grid = SampleGrid(
         tuple((k0 * m, Fraction(sweep.weight(k0 * m))) for m in DEFAULT_MULTIPLIERS),
         base=k0,

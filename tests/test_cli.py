@@ -10,9 +10,7 @@ from itertools import product
 
 import pytest
 
-from kstab import (
-    GridTooShortError, SizeError, donaldson_futaki, gamma, rat, verification,
-)
+from kstab import SizeError, donaldson_futaki, gamma, rat, verification
 from kstab.arrangements import MAX_BRAID_G
 from kstab.cli import main
 from kstab.flags import MAX_M, MAX_POINTS, MAX_S_DIGITS, UniPoly, flag_from_json
@@ -250,10 +248,10 @@ def test_df_point_count_cap_exits_3(tmp_path):
 # Fixed flags (M = 1..4, one to three points, fat point 16 and a flag
 # that exits 3 with SizeError at s = 2/3 and 3/2) and the stdout, stderr
 # and exit code `kstab df --flag F --s S --format FMT` gave for them
-# with the full min-plus convolution (expected.json),
-# and fat point 31, whose escalation walks every base at s = 1 and 1/2
-# before it exits 3, as the Fraction residuals gave it (expected_walk.json);
-# any change must reproduce them byte for byte.  Run in-process through
+# with the full min-plus convolution (expected.json), and fat points 31,
+# which answers at base 31 at s = 1 and 1/2, and 41, whose walk ends on
+# the k*s cap at every s (expected_walk.json); any change must reproduce
+# them byte for byte.  Run in-process through
 # cli.main, and through the library call, which must answer as the
 # command does.
 DF_DATA = pathlib.Path(__file__).parent / "data" / "df"
@@ -277,9 +275,9 @@ def test_df_checked_in_outputs(name, s, capsys):
         report = donaldson_futaki(flag, rat(s))
         assert json.dumps(report.to_json()) + "\n" == expected["stdout"]
     else:
-        # every recorded exit 3 is the k*s cap or a walk past every base
+        # every recorded exit 3 is a size cap
         assert expected["exit"] == 3
-        with pytest.raises((SizeError, GridTooShortError)) as info:
+        with pytest.raises(SizeError) as info:
             donaldson_futaki(flag, rat(s))
         assert f"limit reached: {info.value}\n" == expected["stderr"]
 

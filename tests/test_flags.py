@@ -16,7 +16,7 @@ import time
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, count, product
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,6 @@ import pytest
 from kstab import (
     DFReport,
     FlagIdealP1,
-    GridTooShortError,
     InputError,
     PointDivisor,
     SampleGrid,
@@ -38,9 +37,9 @@ from kstab import (
 from kstab import flags
 from kstab.cli import main
 from kstab.flags import (
-    ESCALATION_BASES,
     MAX_KS,
     MAX_M,
+    MAX_MULTIPLICITY,
     MAX_POINTS,
     MAX_S_DIGITS,
     _closed_form,
@@ -49,7 +48,7 @@ from kstab.flags import (
     _Sweep,
     flag_from_json,
 )
-from kstab.verification import random_flag_corpus
+from kstab.verification import brute_force_tilde_degrees, random_flag_corpus
 
 F = Fraction
 
@@ -356,12 +355,12 @@ def test_df_deferred_point_matches_reduced_case():
 
 def test_df_quasi_period_nine_flag():
     # second differences of w cycle with period 9 for this flag, so
-    # the base-1 grid mixes residue classes and must fail loudly;
+    # the base-1 grid mixes residue classes and must be rejected;
     # on the 9-divisible grid w = -(32k^2 + 26k)/9 exactly
     flag = FlagIdealP1([{"p": 2, "q": 2, "r": 2}, {"p": 4, "q": 2, "r": 3}])
-    for fit in (pinned, oracle_df):
-        with pytest.raises(GridTooShortError):
-            fit(flag, F(1), 1)
+    assert pinned(flag, 1, 1) is None
+    with pytest.raises(NoFit):
+        oracle_df(flag, F(1), 1)
     report = pinned(flag, 1, 9)
     assert report.w_poly == UniPoly([0, F(-26, 9), F(-32, 9)])
     assert report.DF0 == 4 * (F(-32, 9) + F(52, 9))
@@ -403,10 +402,9 @@ SEED42_REFINED = {
 def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
     flag = FlagIdealP1(divisors)
     assert random_flag_corpus(42, 100)[index] == flag
-    with pytest.raises(GridTooShortError, match="refinement misses w"):
+    with pytest.raises(NoFit, match="refinement misses w"):
         oracle_df(flag, F(1), 3)
-    with pytest.raises(GridTooShortError, match="no stabilization"):
-        pinned(flag, 1, 3)
+    assert pinned(flag, 1, 3) is None
     report = donaldson_futaki(flag, 1)
     assert report.k_grid.base == base
     assert report.DF0 == df0
@@ -417,8 +415,8 @@ def test_df_refinement_rejects_coincidental_fit(index, divisors, base, df0):
 # j <= 2a and 2k+1 beyond; summing, w(k) = (2/m - 2)(k^2 + k) on
 # multiples of m, hence DF0 = 4 (w2 - 2 w1) = 8 - 8/m, and the grid at
 # base m confirms it for every m <= 40 (12 m <= MAX_KS).  Escalation
-# needs a base that m divides, or m/2 for even m, and for odd m >= 31
-# ESCALATION_BASES holds none, so it exits with GridTooShortError.
+# needs a base that m divides, or m/2 for even m, and walks every base
+# up to 40, so it reaches one.
 @pytest.mark.parametrize("m", range(2, 41))
 def test_df_fat_point_escalation(m):
     flag = FlagIdealP1([{"p": m}])
@@ -427,11 +425,17 @@ def test_df_fat_point_escalation(m):
     report = pinned(flag, 1, m)
     assert report.DF0 == 8 - F(8, m)
     assert report.to_json() == oracle_df(flag, F(1), m).to_json()
-    if m % 2 and m > 30:
-        with pytest.raises(GridTooShortError, match="no stabilization"):
-            donaldson_futaki(flag, 1)
-    else:
-        assert donaldson_futaki(flag, 1).DF0 == 8 - F(8, m)
+    assert donaldson_futaki(flag, 1).DF0 == 8 - F(8, m)
+
+
+# past m = 40 the base a fat point needs, m or m/2, is 41 or more, and at
+# s = 1 or 1/2 base 41 samples k*s = 12 * 41 = 492: the walk ends there
+@pytest.mark.parametrize("m", [41, 82])
+@pytest.mark.parametrize("s", ["1", "1/2"])
+def test_df_fat_point_past_the_cap(m, s):
+    with pytest.raises(SizeError) as info:
+        donaldson_futaki(FlagIdealP1([{"p": m}]), F(s))
+    assert str(info.value) == f"k*s capped at {MAX_KS} (got 492)"
 
 
 def test_closed_form_fat_points():
@@ -528,6 +532,33 @@ def test_flag_length_cap():
     ]:
         with pytest.raises(SizeError, match=rf"capped at {MAX_M} \(got {MAX_M + 1}\)"):
             call(*args)
+
+
+def test_multiplicity_cap():
+    # at the cap the rows are the composition search's, and at ks =
+    # MAX_KS the last divisor prices MAX_KS parts of the cap, still below
+    # the min-plus sentinel; past it every entry point refuses the flag,
+    # among them one whose costs would pass the sentinel
+    at_cap = FlagIdealP1([{"p": MAX_MULTIPLICITY // 3, "q": 1},
+                          {"p": MAX_MULTIPLICITY, "q": 2}])
+    for ks in (1, 2, 3):
+        degrees = [d.degree for d in tilde_divisors(at_cap, ks).divisors]
+        assert degrees == brute_force_tilde_degrees(at_cap, ks)
+    top = tilde_divisors(at_cap, MAX_KS).divisors[-1]
+    assert top.at("p") == MAX_KS * MAX_MULTIPLICITY < flags._INF
+    for divisors in ([{"p": 1}, {"p": MAX_MULTIPLICITY + 1}],
+                     [{"p": 2**61}, {"p": 3 * 2**61}]):
+        past = FlagIdealP1(divisors)
+        for call, args in [
+            (donaldson_futaki, (past, 1)),
+            (weight, (past, 1, 1)),
+            (tilde_divisors, (past, 1)),
+        ]:
+            with pytest.raises(SizeError) as info:
+                call(*args)
+            assert str(info.value) == (
+                f"flag multiplicities capped at {MAX_MULTIPLICITY}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +907,10 @@ def interpolate(samples):
     return UniPoly(coeffs)
 
 
+class NoFit(Exception):
+    """A grid the blind fit rejects (stabilized_fit, oracle_df)."""
+
+
 def stabilized_fit(samples, degree_bound):
     """Fit a degree <= degree_bound polynomial to the tail of a grid.
 
@@ -903,7 +938,7 @@ def stabilized_fit(samples, degree_bound):
     # of d+2 samples: the last window's vanish iff poly passes its first
     # sample; poly then fits all but the first of the one before, likewise.
     if onset > entries[-(degree_bound + 3)][0]:
-        raise GridTooShortError(
+        raise NoFit(
             f"no stabilization within the grid (largest k tried: {entries[-1][0]})"
         )
     return poly, onset
@@ -938,7 +973,7 @@ def oracle_df(flag, s, base, weigh=None):
     w_poly, onset = stabilized_fit(grid, 2)
     for m, w in zip(flags.REFINE_MULTIPLIERS, weights):
         if w_poly(k0 * m) != w:
-            raise GridTooShortError(f"refinement misses w({k0 * m})")
+            raise NoFit(f"refinement misses w({k0 * m})")
     df = df_coefficient(w_poly, flags.N_POLY, 1)
     return DFReport(
         s=s, k_grid=grid, w_poly=w_poly, N_poly=flags.N_POLY, DF=df, DF0=4 * df,
@@ -947,19 +982,19 @@ def oracle_df(flag, s, base, weigh=None):
 
 
 def oracle_escalation(flag, s, weigh=None):
-    last = None
-    for base in ESCALATION_BASES:
+    """oracle_df at base 1, 2, 3, ... until a base fits or the k*s cap
+    raises SizeError, as it does once 12 * base * num(s) > MAX_KS."""
+    for base in count(1):
         try:
             return oracle_df(flag, s, base, weigh)
-        except GridTooShortError as exc:
-            last = exc
-    raise last
+        except NoFit:
+            pass
 
 
 def outcome(run, *args):
     try:
         return run(*args).to_json()
-    except (GridTooShortError, SizeError) as exc:
+    except SizeError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -987,7 +1022,7 @@ ORACLE_CASES = [
     # no base up to 13 fits, and base 14 needs k*s = 504 > MAX_KS
     ("size-limit", FlagIdealP1([{"p": 2, "q": 1, "r": 1}, {"p": 3, "q": 3, "r": 1},
                                 {"p": 3, "q": 5, "r": 2}]), F(3, 2)),
-    # every base up to 40 fails to stabilize
+    # no base up to 31 fits, and base 32 does (k0 = 64)
     ("grid-limit", FlagIdealP1([{"p": 1, "q": 1, "r": 2}, {"p": 1, "q": 3, "r": 2},
                                 {"p": 3, "q": 4, "r": 2}]), F(1, 2)),
 ]
@@ -1051,7 +1086,7 @@ def test_df0_is_nonnegative_on_every_small_flag():
                 continue
             try:
                 report = donaldson_futaki(flag, F(s))
-            except (GridTooShortError, SizeError):
+            except SizeError:
                 continue
             assert report.DF0 == df0, (flag, s)
             assert report.DF == df_coefficient(report.w_poly, flags.N_POLY, 1)
@@ -1255,13 +1290,10 @@ def spy_weights(monkeypatch):
 
 def test_a_rejected_base_stops_at_its_first_miss(monkeypatch):
     # fat point 7 at base 1: the residual at k = 4 differs from the one
-    # at k = 3, so the base samples nothing more and never k = 2; the
-    # message still names the grid's largest k
+    # at k = 3, so the base samples nothing more and never k = 2
     asked = spy_weights(monkeypatch)
     flag = FlagIdealP1([{"p": 7}])
-    with pytest.raises(GridTooShortError) as info:
-        pinned(flag, 1, 1)
-    assert str(info.value) == "no stabilization within the grid (largest k tried: 8)"
+    assert pinned(flag, 1, 1) is None
     assert asked == [3, 4]
     # an accepted base samples k0 * 3 .. k0 * 12, then k0 * 2 for onset_k
     asked.clear()
@@ -1269,14 +1301,16 @@ def test_a_rejected_base_stops_at_its_first_miss(monkeypatch):
     assert asked[:8] == [21, 28, 35, 42, 56, 70, 84, 14]
 
 
-def test_refinement_miss_message():
-    # a count one above the closed form's at k0 * 10 alone
+def test_a_refinement_miss_rejects_the_base():
+    # a count one above the closed form's at k0 * 10 alone: the base
+    # samples no further
     sweep = _Sweep(POINT, 1)
-    weigh = sweep.weight
-    sweep.weight = lambda k: weigh(k) + (k == 10)
-    with pytest.raises(GridTooShortError) as info:
-        _fit(sweep, 1, *_closed_form(sweep.points, sweep.s))
-    assert str(info.value) == "refinement misses w(10)"
+    weigh, asked = sweep.weight, []
+    w2, w1 = _closed_form(sweep.points, sweep.s)
+    assert _fit(sweep, 1, w2, w1) is not None
+    sweep.weight = lambda k: asked.append(k) or weigh(k) + (k == 10)
+    assert _fit(sweep, 1, w2, w1) is None
+    assert asked == [3, 4, 5, 6, 8, 10]
 
 
 def test_denominator_cap_comes_before_any_sample(monkeypatch):

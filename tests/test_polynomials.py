@@ -12,7 +12,6 @@ from itertools import combinations
 import pytest
 
 from kstab import (
-    GridTooShortError,
     InputError,
     SizeError,
     UniPoly,
@@ -32,7 +31,7 @@ from kstab import (
     veronese_determinant,
 )
 from kstab.rationals import MAX_EXPONENT, integer
-from test_flags import df_coefficient, interpolate, stabilized_fit
+from test_flags import NoFit, df_coefficient, interpolate, stabilized_fit
 
 F = Fraction
 
@@ -182,7 +181,7 @@ def test_stabilized_fit_degree_zero():
     assert stabilized_fit([(k, 5) for k in range(1, 6)], 0) == (UniPoly([5]), 1)
     samples = [(1, 3), (2, 4), (3, 5), (4, 5), (5, 5)]
     assert stabilized_fit(samples, 0) == (UniPoly([5]), 3)
-    with pytest.raises(GridTooShortError):
+    with pytest.raises(NoFit):
         stabilized_fit(samples[:2] + [(3, 4)] + samples[3:], 0)
 
 
@@ -198,7 +197,7 @@ def test_stabilized_fit_transient_head():
 
 def test_stabilized_fit_rejects_cubic_growth():
     samples = [(k, F(k ** 3)) for k in range(1, 7)]
-    with pytest.raises(GridTooShortError, match="largest k tried: 6"):
+    with pytest.raises(NoFit, match="largest k tried: 6"):
         stabilized_fit(samples, 2)
 
 
@@ -233,7 +232,7 @@ def test_stabilized_fit_matches_window_criterion():
             assert poly == interpolate(samples[-(d + 1):])
             assert all(poly(k) == v for k, v in samples if k >= onset)
         else:
-            with pytest.raises(GridTooShortError):
+            with pytest.raises(NoFit):
                 stabilized_fit(samples, d)
 
 

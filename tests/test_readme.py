@@ -36,10 +36,11 @@ def test_readme_library_block():
 
 
 # every name `from kstab import *` bound before __all__ was written out,
-# but the submodules and the since-deleted MultiPoly and det_symbolic
+# but the submodules and the since-deleted MultiPoly, det_symbolic and
+# GridTooShortError
 PUBLIC = {
     "CentralArrangement", "DFReport", "FlagIdealP1", "Flat", "GammaSample",
-    "GridTooShortError", "InconclusiveError", "InputError", "KstabError",
+    "InconclusiveError", "InputError", "KstabError",
     "LctCertificate", "LinearForm", "MonomialIdeal",
     "NewtonPolyhedron", "PointDivisor", "SampleGrid", "SizeError",
     "SummationResult", "TildeFamily", "UniPoly", "Verdict",
