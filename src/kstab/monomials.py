@@ -19,7 +19,10 @@ independent oracle for multiplier ideals, including the summation
 formula over rational exponent splittings, where the first refinement of
 the splitting grid whose sum equals the left side is the witness: every
 refinement is checked to lie in the left side, so equality there is
-proven, and a further refinement could only rebuild the same ideal.  The
+proven, and a further refinement could only rebuild the same ideal.  A
+summand whose Newton polyhedron lies inside another's is left out of the
+splittings: by convexity, moving its weight onto the other only grows the
+weighted sum of polyhedra, so it adds nothing to any refinement.  The
 seeded law corpus that exercises it is verification.law_checks.
 An ideal's generators are the sorted tuple of its minimal exponent vectors.
 """
@@ -578,9 +581,20 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     - So RHS(D) = LHS is equality, and the first such D is the
       witness: the sweep returns there.
     A sweep that reaches no such D up to denom_bound raises
-    InconclusiveError, which is distinct from a mismatch.  A D whose
-    C(c * D + l - 1, l - 1) splittings pass MAX_SPLITS raises
-    SizeError before any of them is swept.
+    InconclusiveError, which is distinct from a mismatch.
+    - A part whose Newton polyhedron lies inside another part's is
+      dropped from the splittings (of equal ones the first is kept), as
+      it adds nothing to RHS(D).  If P(b_i) lies inside P(b_j), then
+      w_i P(b_i) + w_j P(b_j) lies inside (w_i + w_j) P(b_j), as
+      P(b_j) is convex, so moving i's weight onto j only grows the
+      weighted sum, and so its multiplier ideal; the moved weight's
+      denominator still divides D.  A chain of such moves ends at a
+      kept part, so the kept parts' splittings give the same RHS(D) at
+      every D.  The LHS still takes the sum of every part.  With c = 0
+      no splitting weights a part, and nothing is dropped; if a part's
+      hull is past a cap, every part is swept, as it would be unpruned.
+    A D whose C(c * D + l - 1, l - 1) splittings, l the kept parts, pass
+    MAX_SPLITS raises SizeError before any of them is swept.
     - The LHS goes through multiplier_ideal, which checks the weights.
       Each splitting then goes straight to the engine, keyed as
       multiplier_ideal keys it: the weight m / D of a part is the pair
@@ -609,6 +623,11 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
         arity, _minimalize(g for p in parts for g in p.generators)
     )
     lhs = multiplier_ideal([(a0, c0), (total, c)])
+    if c and len(parts) > 1:
+        try:
+            parts = _kept_parts(parts)
+        except SizeError:  # a part's hull is past a cap: sweep every part
+            pass
     base = [(a0.generators, c0.numerator, c0.denominator)] if c0 else []
     D = c.denominator
     while D <= denom_bound:
@@ -624,7 +643,7 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
                     d = math.gcd(m, D)
                     factors.append((p.generators, m // d, D // d))
             splits.append(_product_multiplier(factors, arity))
-        if len(splits) == 1:  # one part, or c = 0: minimal and sorted already
+        if len(splits) == 1:  # one kept part, or c = 0: minimal and sorted already
             rhs = splits[0]
         else:
             gens = _minimalize(g for s in splits for g in s.generators)
@@ -637,6 +656,27 @@ def summation_check(a0, c0, parts, c, denom_bound=24):
     raise InconclusiveError(
         f"splitting sum did not stabilize with denominators up to {denom_bound}"
     )
+
+
+def _kept_parts(parts):
+    """The parts whose Newton polyhedron lies inside no other part's, the
+    first of equal ones kept, in their order.  P(b_i) lies inside P(b_j)
+    iff every generator of b_i meets every facet of newton_polyhedron(b_j),
+    the coordinate facets among them."""
+    facets = [newton_polyhedron(p).inequalities for p in parts]
+
+    def inside(i, j):
+        return all(
+            sum(map(mul, a, g)) >= b for a, b in facets[j] for g in parts[i].generators
+        )
+
+    return [
+        p for i, p in enumerate(parts)
+        if not any(
+            j != i and inside(i, j) and (j < i or not inside(j, i))
+            for j in range(len(parts))
+        )
+    ]
 
 
 def _compositions(total, parts):

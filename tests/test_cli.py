@@ -448,7 +448,11 @@ def test_check_summation_past_the_old_hull_cap(tmp_path, capsys):
 # 20 in 4 variables with exponents <= 10, and c = 3.  Its splitting
 # (0, 1, 2) at D = 1 needs 1,329 minimal partial sums of a0 and one part
 # times 200 generators, 265,800 sums; the uncapped sweep answered equal at
-# D = 1 after building that sum and larger ones.
+# D = 1 after building that sum and larger ones.  nested_parts.json was
+# recorded when parts inside another part's Newton polyhedron left the
+# splittings: of its four parts (x^2, y) twice, (x^3, y^3) and (x, y^2),
+# the repeat and (x^3, y^3) are dropped, so c = 40 has 41 splittings at
+# D = 1, not C(43, 3) = 12,341, which exited 3 on the splitting cap.
 SUMMATION_DATA = pathlib.Path(__file__).parent / "data" / "summation"
 SUMMATION_EXPECTED = json.loads((SUMMATION_DATA / "expected.json").read_text())
 

@@ -4,9 +4,10 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -942,23 +943,27 @@ def test_summation_computes_each_distinct_product_once(monkeypatch):
 
 
 def test_summation_stops_at_its_first_equal_refinement(monkeypatch):
-    # unit = J((x, y)^1) = J((x, y)^1 (x, y)^0) at D = 1, which has 2
-    # splittings of c = 1 between two parts; nothing of D = 2 is read,
-    # neither its 3 splittings against MAX_SPLITS nor denom_bound
+    # unit = J((x, y)^1) = J((x^2, y)^0 (x, y^2)^1) at D = 1, which has 2
+    # splittings of c = 1 between two parts, neither inside the other's
+    # Newton polyhedron; nothing of D = 2 is read, neither its 3
+    # splittings against MAX_SPLITS nor denom_bound
     unit = MonomialIdeal.unit(2)
+    parts = [MonomialIdeal(2, [(2, 0), (0, 1)]), MonomialIdeal(2, [(1, 0), (0, 2)])]
     calls = spy_on_the_engine_entry(monkeypatch)
     monkeypatch.setattr(monomials, "MAX_SPLITS", 2)
     for bound in (1, 24):
         calls.clear()
-        result = summation_check(unit, 0, [XY, XY], 1, denom_bound=bound)
+        result = summation_check(unit, 0, parts, 1, denom_bound=bound)
         assert (result.equal, result.witness_denominator) == (True, 1)
         assert result.lhs == result.rhs == unit
         # the LHS, (x, y)^1 on the sum, then D = 1 only: (0, 1) and (1, 0)
-        # each put weight 1 on one copy of (x, y)
-        assert calls == [[(XY.generators, 1, 1)]] * 3
+        # each put weight 1 on one part
+        assert calls == [[(XY.generators, 1, 1)]] + [
+            [(p.generators, 1, 1)] for p in reversed(parts)
+        ]
     monkeypatch.setattr(monomials, "MAX_SPLITS", 1)
     with pytest.raises(SizeError) as info:
-        summation_check(unit, 0, [XY, XY], 1)
+        summation_check(unit, 0, parts, 1)
     assert str(info.value) == "more than 1 splittings at denominator 1"
 
 
@@ -1200,6 +1205,150 @@ def test_summation_answers_agree_with_the_real_splitting_rhs():
                     checks += 1
                     assert w not in rhs, (a0, c0, parts, c, w)
     assert answered > 230 and checks > 1500
+
+
+def in_newton_polyhedron(v, ideal):
+    """Whether v lies in conv(generators) + orthant: whether convex weights
+    lambda on the generators g_1..g_m have sum lambda_k g_k <= v, decided
+    by fourier_motzkin in lambda_1..lambda_{m-1}, lambda_m = 1 - the others.
+    No hull is built."""
+    *rest, last = ideal.generators
+    k = len(rest)
+    rows = [
+        (tuple(F(g[i] - last[i]) for g in rest), F(v[i] - last[i]), False)
+        for i in range(len(v))
+    ]
+    rows += [(tuple(F(-int(j == i)) for j in range(k)), F(0), False) for i in range(k)]
+    return fourier_motzkin(rows + [((F(1),) * k, F(1), False)], k)
+
+
+def reference_kept_parts(parts):
+    """The parts whose Newton polyhedron no other part's strictly holds,
+    and of equal polyhedra the first, by in_newton_polyhedron."""
+
+    def inside(p, q):
+        return all(in_newton_polyhedron(g, q) for g in p.generators)
+
+    return [
+        p for i, p in enumerate(parts)
+        if not any(
+            j != i and inside(p, q) and (j < i or not inside(q, p))
+            for j, q in enumerate(parts)
+        )
+    ]
+
+
+def test_kept_parts_drop_every_part_inside_another():
+    # a chain P1 in P2 in P3 keeps P3 alone, in every order; of equal
+    # polyhedra the first is kept, equal generators or not; parts that
+    # do not nest are all kept; and on seeded parts the kept list is the
+    # reference's, which tests containment without a hull
+    p1, p2 = MonomialIdeal(2, [(3, 0), (0, 3)]), MonomialIdeal(2, [(2, 0), (0, 2)])
+    for order in permutations([p1, p2, XY]):
+        assert monomials._kept_parts(list(order)) == [XY]
+    first, second = (MonomialIdeal(2, [(1, 0), (0, 1)]) for _ in range(2))
+    [kept] = monomials._kept_parts([first, second])
+    assert kept is first
+    even = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])  # P(x^2, xy, y^2) = P(x^2, y^2)
+    assert monomials._kept_parts([p2, even]) == [p2]
+    assert monomials._kept_parts([even, p2]) == [even]
+    apart = [MonomialIdeal(2, [(2, 0), (0, 1)]), MonomialIdeal(2, [(1, 0), (0, 2)])]
+    assert monomials._kept_parts(apart) == apart
+    x = MonomialIdeal.principal((1, 0))
+    assert monomials._kept_parts([x, XY, MonomialIdeal.principal((0, 1))]) == [XY]
+    instances = seeded_summation_instances(random.Random("kept-parts"), 200)
+    instances += verification._random_summation_instances(42, 25)
+    dropped = 0
+    for _, _, parts, _ in instances:
+        kept = monomials._kept_parts(parts)
+        assert kept == reference_kept_parts(parts), parts
+        dropped += len(parts) - len(kept)
+    assert dropped >= 216
+
+
+def test_summation_sweeps_only_the_kept_parts(monkeypatch):
+    # duplicate, nested and chained parts, and the C09 corpus: the answer
+    # is the reference's, which sweeps every splitting of every part, and
+    # no splitting gives weight to a dropped part: the factors of each
+    # splitting, a0's aside, are kept parts, each at most once
+    calls = spy_on_the_engine_entry(monkeypatch)
+    x, y = MonomialIdeal.principal((1, 0)), MonomialIdeal.principal((0, 1))
+    unit2 = MonomialIdeal.unit(2)
+    square = MonomialIdeal(2, [(2, 0), (0, 2)])
+    cube = MonomialIdeal(2, [(3, 0), (0, 3)])
+    instances = [
+        (x, F(1, 2), [XY, MonomialIdeal(2, [(1, 0), (0, 1)])], F(1)),  # duplicates
+        (unit2, F(0), [MonomialIdeal(2, [(4, 0), (1, 2), (0, 5)]), square], F(3, 2)),
+        (x, F(1, 2), [square, cube, XY], F(3, 2)),  # the chain, out of order
+        (XY, F(1), [x, XY, y, x], F(2)),  # principal parts inside (x, y)
+        (unit2, F(0), [MonomialIdeal(2, [(2, 0), (0, 1)]), square,
+                       MonomialIdeal(2, [(1, 0), (0, 2)])], F(1)),  # two kept
+        (MonomialIdeal.principal((0, 0, 1)), F(1),
+         [MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+          MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+          MonomialIdeal(3, [(1, 1, 0), (0, 0, 1)])], F(1, 2)),
+    ]
+    instances += verification._random_summation_instances(42, 25)
+    dropped = 0
+    for a0, c0, parts, c in instances:
+        kept = reference_kept_parts(parts)
+        dropped += len(parts) - len(kept)
+        calls.clear()
+        result = summation_check(a0, c0, parts, c)
+        _, *splits = calls  # the LHS, then the splittings
+        budget = Counter(p.generators for p in kept)
+        for key in splits:
+            if c0:
+                key.remove((a0.generators, c0.numerator, c0.denominator))
+            assert not Counter(gens for gens, _, _ in key) - budget, (parts, key)
+        got = (result.equal, result.witness_denominator, result.lhs, result.rhs)
+        assert got == reference_summation(a0, c0, parts, c), (a0, c0, parts, c)
+    assert dropped >= 27
+
+
+def test_summation_with_c_zero_builds_no_part_hull(monkeypatch):
+    # c = 0 weights no part, so no part hull is built, though each of the
+    # two non-principal parts below trips hulls capped at 4 rays.  With
+    # c = 1 the pruning builds them and the first trips, with "kept 5";
+    # then every part is swept, and the sweep raises as an unpruned sweep
+    # does: its first splitting, (0, 0, 1), trips on the last part
+    monkeypatch.setattr(monomials, "MAX_HULL_RAYS", 4)
+    hulls, real = [], monomials.newton_polyhedron
+
+    def spy(ideal):
+        hulls.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(monomials, "newton_polyhedron", spy)
+    unit = MonomialIdeal.unit(3)
+    parts = [MonomialIdeal(3, [(2, 2, 1), (3, 1, 1)]), unit,
+             MonomialIdeal(3, [(2, 0, 2), (3, 3, 1)])]
+    for a0, c0 in ((unit, F(0)), (MonomialIdeal.principal((1, 0, 0)), F(1, 2))):
+        result = summation_check(a0, c0, parts, 0)
+        assert (result.equal, result.witness_denominator) == (True, 1)
+        assert hulls == []
+    with pytest.raises(SizeError) as info:
+        real(parts[0])
+    assert str(info.value) == "hull capped at 4 rays (a step kept 5)"
+    with pytest.raises(SizeError) as info:
+        summation_check(unit, 0, parts, 1)
+    assert hulls
+    assert str(info.value) == "hull capped at 4 rays (a step kept 6)"
+
+
+def test_summation_answers_where_only_a_dropped_part_passes_a_cap():
+    # (x^250, y^250, z^250) lies inside P(x, y, z), so no splitting weights
+    # it; its own product needs 63,504 box prefixes, past the scan cap,
+    # so a sweep over every part would exit 3 at D = 1
+    m = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    big = MonomialIdeal(3, [(250, 0, 0), (0, 250, 0), (0, 0, 250)])
+    with pytest.raises(SizeError) as info:
+        multiplier_ideal([(big, 1)])
+    assert "(this product needs 63504)" in str(info.value)
+    unit = MonomialIdeal.unit(3)
+    result = summation_check(unit, 0, [m, big], 1)
+    assert (result.equal, result.witness_denominator) == (True, 1)
+    assert result.lhs == result.rhs == unit
 
 
 def test_summation_of_a_large_arity_four_sum_answers():
